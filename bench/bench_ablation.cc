@@ -37,16 +37,20 @@ Status RunChunkSize(uint32_t samples_per_chunk, double* persisted_mb,
   const uint64_t start = NowUs();
   int64_t peak = 0;
   uint64_t samples = 0;
+  for (int s = 0; s < kSeries; ++s) {
+    TU_RETURN_IF_ERROR(
+        db->RegisterSeries({{"s", std::to_string(s)}}, &refs[s]));
+  }
+  core::WriteBatch batch;
+  core::WriteResult result;
   for (int64_t ts = 0; ts < 6LL * 3600 * 1000; ts += 30'000) {
+    batch.Clear();
     for (int s = 0; s < kSeries; ++s) {
-      if (ts == 0) {
-        TU_RETURN_IF_ERROR(db->Insert({{"s", std::to_string(s)}}, 0,
-                                      rng.NextDouble(), &refs[s]));
-      } else {
-        TU_RETURN_IF_ERROR(db->InsertFast(refs[s], ts, rng.NextDouble()));
-      }
+      batch.AddSample(refs[s], ts, rng.NextDouble());
       ++samples;
     }
+    TU_RETURN_IF_ERROR(db->Write(batch, &result));
+    TU_RETURN_IF_ERROR(result.first_error);
     peak = std::max(peak,
                     MemoryTracker::Global().Get(MemCategory::kSamples));
   }
@@ -71,25 +75,35 @@ Status RunPatchThreshold(int threshold, uint64_t* patch_merges,
   TU_RETURN_IF_ERROR(core::TimeUnionDB::Open(opts, &db));
 
   uint64_t ref = 0;
-  TU_RETURN_IF_ERROR(db->Insert({{"m", "x"}}, 0, 0.0, &ref));
+  TU_RETURN_IF_ERROR(db->RegisterSeries({{"m", "x"}}, &ref));
+  core::WriteBatch batch;
+  core::WriteResult result;
+  batch.AddSample(ref, 0, 0.0);
   for (int64_t ts = kMin; ts < 12LL * 3600 * 1000; ts += kMin) {
-    TU_RETURN_IF_ERROR(db->InsertFast(ref, ts, 1.0));
+    batch.AddSample(ref, ts, 1.0);
   }
+  TU_RETURN_IF_ERROR(db->Write(batch, &result));
+  TU_RETURN_IF_ERROR(result.first_error);
   TU_RETURN_IF_ERROR(db->Flush());
   // Repeated stale rounds into hour 0.
   for (int round = 0; round < 6; ++round) {
+    batch.Clear();
     for (int64_t ts = 0; ts < 3600 * 1000; ts += 2 * kMin) {
-      TU_RETURN_IF_ERROR(db->InsertFast(ref, ts, 10.0 + round));
+      batch.AddSample(ref, ts, 10.0 + round);
     }
+    TU_RETURN_IF_ERROR(db->Write(batch, &result));
+    TU_RETURN_IF_ERROR(result.first_error);
     TU_RETURN_IF_ERROR(db->Flush());
   }
   *patch_merges = db->time_lsm()->stats().patch_merges.load();
 
   const uint64_t gets_before = db->env().slow().counters().get_ops.load();
   const uint64_t start = NowUs();
-  core::QueryResult result;
-  TU_RETURN_IF_ERROR(db->Query({index::TagMatcher::Equal("m", "x")}, 0,
-                               3600 * 1000, &result));
+  core::QueryResult qr;
+  TU_RETURN_IF_ERROR(db->Query(
+      query::ReadRequest::Range({index::TagMatcher::Equal("m", "x")}, 0,
+                                3600 * 1000),
+      &qr));
   *query_us = static_cast<double>(NowUs() - start);
   *s3_gets_during_query =
       db->env().slow().counters().get_ops.load() - gets_before;
@@ -105,18 +119,20 @@ Status RunBlockCompression(bool compress, double* persisted_mb) {
   std::unique_ptr<core::TimeUnionDB> db;
   TU_RETURN_IF_ERROR(core::TimeUnionDB::Open(opts, &db));
   std::vector<uint64_t> refs(32);
+  for (int s = 0; s < 32; ++s) {
+    TU_RETURN_IF_ERROR(
+        db->RegisterSeries({{"s", std::to_string(s)}}, &refs[s]));
+  }
   Random rng(2);
+  core::WriteBatch batch;
   for (int64_t ts = 0; ts < 12LL * 3600 * 1000; ts += kMin) {
     for (int s = 0; s < 32; ++s) {
-      if (ts == 0) {
-        TU_RETURN_IF_ERROR(db->Insert({{"s", std::to_string(s)}}, 0,
-                                      50 + rng.Uniform(10) * 1.0, &refs[s]));
-      } else {
-        TU_RETURN_IF_ERROR(
-            db->InsertFast(refs[s], ts, 50 + rng.Uniform(10) * 1.0));
-      }
+      batch.AddSample(refs[s], ts, 50 + rng.Uniform(10) * 1.0);
     }
   }
+  core::WriteResult result;
+  TU_RETURN_IF_ERROR(db->Write(batch, &result));
+  TU_RETURN_IF_ERROR(result.first_error);
   TU_RETURN_IF_ERROR(db->Flush());
   *persisted_mb = (db->time_lsm()->FastBytesUsed() +
                    db->time_lsm()->SlowBytesUsed()) /

@@ -2,6 +2,7 @@
 //  (a) average memory vs #series, tsdb vs TU vs TU-Group;
 //  (b) memory-over-time trace during one insertion run (tsdb skyrockets
 //      toward its limit; TU stays flat thanks to mmap-backed structures).
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -42,37 +43,51 @@ Status TraceRun(EngineKind kind, uint64_t hosts,
   std::vector<index::Labels> member_tags(101);
   for (int s = 0; s < 101; ++s) member_tags[s] = gen.UniqueTags(s);
 
+  // TimeUnion takes one batch per host and step.
+  core::WriteBatch batch;
+  core::WriteResult result;
+  auto write_batch = [&]() -> Status {
+    TU_RETURN_IF_ERROR(harness.tu()->Write(batch, &result));
+    return result.first_error;
+  };
   for (uint64_t step = 0; step < gen.num_steps(); ++step) {
     const int64_t ts = gen.start_ts() + step * gen.interval_ms();
     for (uint64_t h = 0; h < hosts; ++h) {
+      batch.Clear();
       if (kind == EngineKind::kTUGroup) {
         std::vector<double> values(101);
         for (int s = 0; s < 101; ++s) values[s] = gen.Value(h, s, ts);
         if (step == 0) {
-          TU_RETURN_IF_ERROR(harness.tu()->InsertGroup(
-              gen.HostTags(h), member_tags, ts, values, &grefs[h],
-              &gslots[h]));
+          batch.AddGroupRow(gen.HostTags(h), member_tags, ts,
+                            std::move(values));
+          TU_RETURN_IF_ERROR(write_batch());
+          grefs[h] = result.resolved_groups[0].group_ref;
+          gslots[h] = result.resolved_groups[0].slots;
         } else {
-          TU_RETURN_IF_ERROR(harness.tu()->InsertGroupFast(
-              grefs[h], gslots[h], ts, values));
+          batch.AddGroupRow(grefs[h], gslots[h], ts, std::move(values));
+          TU_RETURN_IF_ERROR(write_batch());
         }
         continue;
       }
       for (int s = 0; s < 101; ++s) {
         const size_t slot = h * 101 + s;
         const double v = gen.Value(h, s, ts);
-        if (step == 0) {
-          if (harness.tu()) {
-            TU_RETURN_IF_ERROR(harness.tu()->Insert(gen.SeriesLabels(h, s),
-                                                    ts, v, &refs[slot]));
-          } else {
-            TU_RETURN_IF_ERROR(harness.tsdb()->Insert(gen.SeriesLabels(h, s),
-                                                      ts, v, &refs[slot]));
-          }
-        } else if (harness.tu()) {
-          TU_RETURN_IF_ERROR(harness.tu()->InsertFast(refs[slot], ts, v));
+        if (!harness.tu()) {
+          TU_RETURN_IF_ERROR(
+              step == 0 ? harness.tsdb()->Insert(gen.SeriesLabels(h, s), ts,
+                                                 v, &refs[slot])
+                        : harness.tsdb()->InsertFast(refs[slot], ts, v));
+        } else if (step == 0) {
+          batch.AddSample(gen.SeriesLabels(h, s), ts, v);
         } else {
-          TU_RETURN_IF_ERROR(harness.tsdb()->InsertFast(refs[slot], ts, v));
+          batch.AddSample(refs[slot], ts, v);
+        }
+      }
+      if (harness.tu()) {
+        TU_RETURN_IF_ERROR(write_batch());
+        if (step == 0) {
+          std::copy(result.resolved_refs.begin(), result.resolved_refs.end(),
+                    refs.begin() + h * 101);
         }
       }
     }

@@ -43,21 +43,26 @@ Status RunTimeUnion(const std::string& tag, uint64_t fast_limit,
   std::vector<uint64_t> refs(gen.num_series());
   const uint64_t start = NowUs();
   uint64_t samples = 0;
+  // One batch per step; the first registers every series.
+  core::WriteBatch batch;
+  core::WriteResult wr;
   for (uint64_t step = 0; step < gen.num_steps(); ++step) {
     const int64_t ts = gen.start_ts() + step * gen.interval_ms();
+    batch.Clear();
     for (uint64_t h = 0; h < gen.num_hosts(); ++h) {
       for (int s = 0; s < 101; ++s) {
         const size_t slot = h * 101 + s;
         if (step == 0) {
-          TU_RETURN_IF_ERROR(db->Insert(gen.SeriesLabels(h, s), ts,
-                                        gen.Value(h, s, ts), &refs[slot]));
+          batch.AddSample(gen.SeriesLabels(h, s), ts, gen.Value(h, s, ts));
         } else {
-          TU_RETURN_IF_ERROR(
-              db->InsertFast(refs[slot], ts, gen.Value(h, s, ts)));
+          batch.AddSample(refs[slot], ts, gen.Value(h, s, ts));
         }
         ++samples;
       }
     }
+    TU_RETURN_IF_ERROR(db->Write(batch, &wr));
+    TU_RETURN_IF_ERROR(wr.first_error);
+    if (step == 0) refs = wr.resolved_refs;
   }
   // Out-of-order injection: after normal insertion, a p% volume of stale
   // samples at random past timestamps of random series (§4.3).
@@ -65,14 +70,17 @@ Status RunTimeUnion(const std::string& tag, uint64_t fast_limit,
     Random rng(99);
     const uint64_t ooo_samples =
         static_cast<uint64_t>(samples * ooo_fraction);
+    batch.Clear();
     for (uint64_t i = 0; i < ooo_samples; ++i) {
       const uint64_t slot = rng.Uniform(refs.size());
       const int64_t ts = gen.start_ts() +
                          static_cast<int64_t>(rng.Uniform(gen.num_steps())) *
                              gen.interval_ms();
-      TU_RETURN_IF_ERROR(db->InsertFast(refs[slot], ts, 999.0));
+      batch.AddSample(refs[slot], ts, 999.0);
       ++samples;
     }
+    TU_RETURN_IF_ERROR(db->Write(batch, &wr));
+    TU_RETURN_IF_ERROR(wr.first_error);
   }
   const double wall_s = (NowUs() - start) / 1e6;
   TU_RETURN_IF_ERROR(db->Flush());
@@ -92,7 +100,8 @@ Status RunTimeUnion(const std::string& tag, uint64_t fast_limit,
           gen.start_ts(), t1 - p.hours * 3600LL * 1000);
       core::QueryResult qr;
       const uint64_t qstart = NowUs();
-      TU_RETURN_IF_ERROR(db->Query(matchers, t0, t1, &qr));
+      TU_RETURN_IF_ERROR(
+          db->Query(query::ReadRequest::Range(matchers, t0, t1), &qr));
       total += NowUs() - qstart;
     }
     *out = total / 3;

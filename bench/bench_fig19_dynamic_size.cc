@@ -30,6 +30,11 @@ int main() {
   gen_opts.num_hosts = 4;
   tsbs::DevOpsGenerator gen(gen_opts);
   std::vector<uint64_t> refs(gen.num_series(), 0);
+  for (uint64_t h = 0; h < gen.num_hosts() && st.ok(); ++h) {
+    for (int s = 0; s < 101 && st.ok(); ++s) {
+      st = db->RegisterSeries(gen.SeriesLabels(h, s), &refs[h * 101 + s]);
+    }
+  }
 
   PrintHeader("Figure 19",
               "dynamic size control (1.5MB scaled limit; paper: 512MB)");
@@ -37,24 +42,22 @@ int main() {
               "partition(min)", "EBS used(KB)");
 
   int64_t ts = 0;
+  core::WriteBatch batch;
+  core::WriteResult result;
   auto run_phase = [&](const char* name, int64_t interval_ms,
                        int64_t duration_ms) -> Status {
     const int64_t phase_end = ts + duration_ms;
     const int64_t report_stride = duration_ms / 4;
     int64_t next_report = ts + report_stride;
     while (ts < phase_end) {
+      batch.Clear();
       for (uint64_t h = 0; h < gen.num_hosts(); ++h) {
         for (int s = 0; s < 101; ++s) {
-          const size_t slot = h * 101 + s;
-          if (refs[slot] == 0) {
-            TU_RETURN_IF_ERROR(db->Insert(gen.SeriesLabels(h, s), ts,
-                                          gen.Value(h, s, ts), &refs[slot]));
-          } else {
-            TU_RETURN_IF_ERROR(
-                db->InsertFast(refs[slot], ts, gen.Value(h, s, ts)));
-          }
+          batch.AddSample(refs[h * 101 + s], ts, gen.Value(h, s, ts));
         }
       }
+      TU_RETURN_IF_ERROR(db->Write(batch, &result));
+      TU_RETURN_IF_ERROR(result.first_error);
       ts += interval_ms;
       if (ts >= next_report) {
         std::printf("  %-26s %16.1f %14.0f\n", name,
@@ -66,7 +69,9 @@ int main() {
     return Status::OK();
   };
 
-  st = run_phase("dense (10s interval)", 10'000, 6LL * 3600 * 1000);
+  if (st.ok()) {
+    st = run_phase("dense (10s interval)", 10'000, 6LL * 3600 * 1000);
+  }
   if (st.ok()) st = run_phase("sparse (60s interval)", 60'000,
                               18LL * 3600 * 1000);
   if (st.ok()) st = run_phase("dense again (10s)", 10'000,

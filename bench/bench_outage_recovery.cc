@@ -125,14 +125,18 @@ int Main() {
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
+      // One Write per sample, so admission delays apply per sample.
+      core::WriteBatch batch;
+      core::WriteResult result;
       int64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         for (int b = 0; b < kBatchPerSeries; ++b) {
           const int64_t ts = (i + b) * kStepMs;
           for (int sr = 0; sr < kSeriesPerThread; ++sr) {
-            if (db->InsertFast(refs[t * kSeriesPerThread + sr], ts,
-                               static_cast<double>(i + b))
-                    .ok()) {
+            batch.Clear();
+            batch.AddSample(refs[t * kSeriesPerThread + sr], ts,
+                            static_cast<double>(i + b));
+            if (db->Write(batch, &result).ok() && result.ok()) {
               total_samples.fetch_add(1, std::memory_order_relaxed);
             } else {
               total_errors.fetch_add(1, std::memory_order_relaxed);
@@ -193,15 +197,19 @@ int Main() {
   }
   const double drain_s = static_cast<double>(NowUs() - drain_t0) / 1e6;
 
-  const core::HealthReport health = db->HealthReport();
+  const obs::MetricsSnapshot health = db->Metrics();
   std::printf(
       "{\"bench\":\"outage_recovery\",\"metric\":\"drain\","
       "\"deferred_tables\":%llu,\"drained_total\":%llu,\"drain_s\":%.3f,"
       "\"breaker_opens\":%llu,\"breaker_rejections\":%llu}\n",
       static_cast<unsigned long long>(deferred_peak),
-      static_cast<unsigned long long>(health.deferred_uploads_drained),
-      drain_s, static_cast<unsigned long long>(health.breaker_opens),
-      static_cast<unsigned long long>(health.breaker_rejections));
+      static_cast<unsigned long long>(
+          health.CounterOr0("lsm.deferred_uploads_drained")),
+      drain_s,
+      static_cast<unsigned long long>(
+          health.CounterOr0("slow.breaker_opens")),
+      static_cast<unsigned long long>(
+          health.CounterOr0("slow.breaker_rejections")));
   std::fflush(stdout);
 
   PrintRow("outage/pre throughput ratio",
@@ -221,8 +229,12 @@ int Main() {
   bool quiesced = false;
   // Far past the writer phase so the drill only creates fresh partitions.
   int64_t ts = 100'000'000;
+  core::WriteBatch one;
+  core::WriteResult one_result;
   while (NowUs() - enospc_t0 < kEnospcCapUs) {
-    if (!db->InsertFast(refs[0], ts, 1.0).ok()) {
+    one.Clear();
+    one.AddSample(refs[0], ts, 1.0);
+    if (!db->Write(one, &one_result).ok() || !one_result.ok()) {
       quiesced = true;
       break;
     }
@@ -242,14 +254,16 @@ int Main() {
       resume_s = static_cast<double>(NowUs() - rt0) / 1e6;
     }
   }
-  const core::HealthReport after = db->HealthReport();
+  const obs::MetricsSnapshot after = db->Metrics();
   std::printf(
       "{\"bench\":\"outage_recovery\",\"metric\":\"enospc\","
       "\"quiesce_s\":%.3f,\"time_to_resume_s\":%.3f,"
       "\"resume_attempts\":%llu,\"resumes_succeeded\":%llu}\n",
       quiesce_s, resume_s,
-      static_cast<unsigned long long>(after.resume_attempts),
-      static_cast<unsigned long long>(after.resumes_succeeded));
+      static_cast<unsigned long long>(
+          after.CounterOr0("error_handler.resume_attempts")),
+      static_cast<unsigned long long>(
+          after.CounterOr0("error_handler.resumes_succeeded")));
   std::fflush(stdout);
   PrintRow("time to resume after ENOSPC", resume_s, "s");
 

@@ -76,15 +76,17 @@ std::unique_ptr<core::TimeUnionDB> BuildDb(const Placement& placement,
     return nullptr;
   }
   refs->resize(SeriesCount());
+  core::WriteBatch batch;
+  core::WriteResult result;
   for (int i = 0; i < SeriesCount(); ++i) {
-    s = db->Insert({{"host", std::to_string(i)}, {"m", "cpu"}}, 0, 0.0,
-                   &(*refs)[i]);
+    s = db->RegisterSeries({{"host", std::to_string(i)}, {"m", "cpu"}},
+                           &(*refs)[i]);
     if (!s.ok()) return nullptr;
-    for (int j = 1; j < SamplesPerSeries(); ++j) {
-      if (!db->InsertFast((*refs)[i], j * kStepMs, 1.0 * j).ok()) {
-        return nullptr;
-      }
+    batch.Clear();
+    for (int j = 0; j < SamplesPerSeries(); ++j) {
+      batch.AddSample((*refs)[i], j * kStepMs, 1.0 * j);
     }
+    if (!db->Write(batch, &result).ok() || !result.ok()) return nullptr;
   }
   if (!db->Flush().ok()) return nullptr;
   return db;
@@ -115,7 +117,10 @@ bool RunPass(core::TimeUnionDB* db, const Placement& placement, int threads,
             // Legacy drain: per-sample cursor over the streaming API.
             query::QueryStats qs;
             std::vector<core::TimeUnionDB::SeriesIterResult> iters;
-            ok = db->QueryIterators({matcher}, 0, SpanMs(), &iters, &qs).ok() &&
+            ok = db->QueryIterators(
+                         query::ReadRequest::Range({matcher}, 0, SpanMs()),
+                         &iters, &qs)
+                     .ok() &&
                  iters.size() == 1;
             if (ok) {
               std::vector<compress::Sample> out;
@@ -128,7 +133,9 @@ bool RunPass(core::TimeUnionDB* db, const Placement& placement, int threads,
             }
           } else {
             core::QueryResult result;
-            ok = db->Query({matcher}, 0, SpanMs(), &result).ok() &&
+            ok = db->Query(query::ReadRequest::Range({matcher}, 0, SpanMs()),
+                           &result)
+                     .ok() &&
                  result.size() == 1;
             if (ok) {
               samples = result[0].samples.size();

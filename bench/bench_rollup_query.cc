@@ -81,17 +81,20 @@ bool BuildWorkload(const core::DBOptions& opts) {
   // Interleave by timestamp: sequential per-series loads would make every
   // series after the first out-of-order against already-compacted L2
   // windows, dirtying the very rollups under measurement.
-  std::vector<uint64_t> refs(SeriesCount());
+  core::WriteBatch batch;
+  core::WriteResult result;
   for (int i = 0; i < SeriesCount(); ++i) {
-    Status s = db->Insert({{"host", std::to_string(i)}, {"m", "cpu"}}, 0,
-                          0.5 * i, &refs[i]);
-    if (!s.ok()) return false;
+    batch.AddSample(index::Labels{{"host", std::to_string(i)}, {"m", "cpu"}},
+                    0, 0.5 * i);
   }
+  if (!db->Write(batch, &result).ok() || !result.ok()) return false;
+  const std::vector<uint64_t> refs = result.resolved_refs;
   for (int j = 1; j < SamplesPerSeries(); ++j) {
+    batch.Clear();
     for (int i = 0; i < SeriesCount(); ++i) {
-      const double v = 0.25 * j + 100.0 * i;
-      if (!db->InsertFast(refs[i], j * kSampleStepMs, v).ok()) return false;
+      batch.AddSample(refs[i], j * kSampleStepMs, 0.25 * j + 100.0 * i);
     }
+    if (!db->Write(batch, &result).ok() || !result.ok()) return false;
   }
   if (!db->Flush().ok()) return false;
   if (db->time_lsm()->NumRollupTables() == 0) {
@@ -164,7 +167,9 @@ int Main() {
       raw = core::QueryResult();
       const uint64_t gets_before = slow.get_ops.load();
       const uint64_t t_start = NowUs();
-      if (!db->Query(matchers, QueryT0(), QueryT1(), &raw).ok() ||
+      if (!db->Query(query::ReadRequest::Range(matchers, QueryT0(), QueryT1()),
+                     &raw)
+               .ok() ||
           raw.size() != static_cast<size_t>(SeriesCount())) {
         std::fprintf(stderr, "raw query failed\n");
         return 1;
@@ -191,9 +196,12 @@ int Main() {
       agg = core::TimeUnionDB::AggregateResult();
       const uint64_t gets_before = slow.get_ops.load();
       const uint64_t t_start = NowUs();
-      if (!db->AggregateQuery(matchers, QueryT0(), QueryT1(), kWindowStepMs,
-                              query::AggFn::kMax, &agg)
-              .ok() ||
+      if (!db->AggregateQuery(
+                   query::ReadRequest::Aggregate(matchers, QueryT0(), QueryT1(),
+                                                 kWindowStepMs,
+                                                 query::AggFn::kMax),
+                   &agg)
+               .ok() ||
           agg.series.size() != static_cast<size_t>(SeriesCount())) {
         std::fprintf(stderr, "aggregate query failed\n");
         return 1;
@@ -214,9 +222,11 @@ int Main() {
                           query::AggFn::kSum, query::AggFn::kCount,
                           query::AggFn::kMean}) {
     core::TimeUnionDB::AggregateResult check;
-    if (!db->AggregateQuery(matchers, QueryT0(), QueryT1(), kWindowStepMs, fn,
-                            &check)
-            .ok() ||
+    if (!db->AggregateQuery(
+                 query::ReadRequest::Aggregate(matchers, QueryT0(), QueryT1(),
+                                               kWindowStepMs, fn),
+                 &check)
+             .ok() ||
         check.series.size() != raw.size()) {
       equal = false;
       break;

@@ -89,6 +89,14 @@ Status EngineHarness::RunInsert(const tsbs::DevOpsGenerator& gen,
   uint64_t samples = 0;
   const uint64_t hosts = gen.num_hosts();
   const int per_host = tsbs::DevOpsGenerator::kSeriesPerHost;
+  // TimeUnion writes go one row per Write through one reused batch, so the
+  // figures compare per-row ingest against the baselines' per-row calls.
+  core::WriteBatch batch;
+  core::WriteResult result;
+  auto write_row = [&]() -> Status {
+    TU_RETURN_IF_ERROR(tu_->Write(batch, &result));
+    return result.first_error;
+  };
 
   if (kind_ == EngineKind::kTUGroup) {
     group_refs_.assign(hosts, 0);
@@ -101,14 +109,15 @@ Status EngineHarness::RunInsert(const tsbs::DevOpsGenerator& gen,
       const int64_t ts = gen.start_ts() + step * gen.interval_ms();
       for (uint64_t h = 0; h < hosts; ++h) {
         for (int s = 0; s < per_host; ++s) values[s] = gen.Value(h, s, ts);
+        batch.Clear();
         if (step == 0) {
-          TU_RETURN_IF_ERROR(tu_->InsertGroup(gen.HostTags(h), member_tags,
-                                              ts, values, &group_refs_[h],
-                                              &group_slots_[h]));
+          batch.AddGroupRow(gen.HostTags(h), member_tags, ts, values);
+          TU_RETURN_IF_ERROR(write_row());
+          group_refs_[h] = result.resolved_groups[0].group_ref;
+          group_slots_[h] = result.resolved_groups[0].slots;
         } else {
-          TU_RETURN_IF_ERROR(
-              tu_->InsertGroupFast(group_refs_[h], group_slots_[h], ts,
-                                   values));
+          batch.AddGroupRow(group_refs_[h], group_slots_[h], ts, values);
+          TU_RETURN_IF_ERROR(write_row());
         }
         samples += per_host;
       }
@@ -121,21 +130,20 @@ Status EngineHarness::RunInsert(const tsbs::DevOpsGenerator& gen,
         for (int s = 0; s < per_host; ++s) {
           const double v = gen.Value(h, s, ts);
           const size_t slot = h * per_host + s;
-          if (step == 0) {
-            const index::Labels labels = gen.SeriesLabels(h, s);
-            if (tu_) {
-              TU_RETURN_IF_ERROR(
-                  tu_->Insert(labels, ts, v, &series_refs_[slot]));
-            } else {
-              TU_RETURN_IF_ERROR(
-                  tsdb_->Insert(labels, ts, v, &series_refs_[slot]));
-            }
+          if (!tu_) {
+            TU_RETURN_IF_ERROR(
+                step == 0 ? tsdb_->Insert(gen.SeriesLabels(h, s), ts, v,
+                                          &series_refs_[slot])
+                          : tsdb_->InsertFast(series_refs_[slot], ts, v));
+          } else if (step == 0) {
+            batch.Clear();
+            batch.AddSample(gen.SeriesLabels(h, s), ts, v);
+            TU_RETURN_IF_ERROR(write_row());
+            series_refs_[slot] = result.resolved_refs[0];
           } else {
-            if (tu_) {
-              TU_RETURN_IF_ERROR(tu_->InsertFast(series_refs_[slot], ts, v));
-            } else {
-              TU_RETURN_IF_ERROR(tsdb_->InsertFast(series_refs_[slot], ts, v));
-            }
+            batch.Clear();
+            batch.AddSample(series_refs_[slot], ts, v);
+            TU_RETURN_IF_ERROR(write_row());
           }
           ++samples;
         }
@@ -185,7 +193,8 @@ Status EngineHarness::RunQuery(const tsbs::DevOpsGenerator& gen,
     const uint64_t start = NowUs();
     if (tu_) {
       core::QueryResult result;
-      TU_RETURN_IF_ERROR(tu_->Query(matchers, t0, t1, &result));
+      TU_RETURN_IF_ERROR(
+          tu_->Query(query::ReadRequest::Range(matchers, t0, t1), &result));
       for (const auto& series : result) {
         const auto agg = pattern.lastpoint
                              ? std::vector<tsbs::AggPoint>{}

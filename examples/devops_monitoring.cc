@@ -19,6 +19,7 @@ using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
 using tu::index::Labels;
 using tu::index::TagMatcher;
+using tu::query::ReadRequest;
 
 int main(int argc, char** argv) {
   DBOptions options;
@@ -47,26 +48,34 @@ int main(int argc, char** argv) {
 
   std::vector<uint64_t> group_refs(gen.num_hosts());
   std::vector<std::vector<uint32_t>> slots(gen.num_hosts());
-  std::vector<double> values(tu::tsbs::DevOpsGenerator::kSeriesPerHost);
+  tu::core::WriteBatch batch;
+  tu::core::WriteResult written;
 
   for (uint64_t step = 0; step < gen.num_steps(); ++step) {
     const int64_t ts = gen.start_ts() + step * gen.interval_ms();
+    batch.Clear();
     for (uint64_t h = 0; h < gen.num_hosts(); ++h) {
+      std::vector<double> values(tu::tsbs::DevOpsGenerator::kSeriesPerHost);
       for (int s = 0; s < 101; ++s) values[s] = gen.Value(h, s, ts);
       if (step == 0) {
         // First round: register the group (shared tags = host tags) and
-        // its members; receives the group ref + member slot indexes.
-        st = db->InsertGroup(gen.HostTags(h), member_tags, ts, values,
-                             &group_refs[h], &slots[h]);
+        // its members; the result holds the group ref + member slots.
+        batch.AddGroupRow(gen.HostTags(h), member_tags, ts, std::move(values));
       } else {
         // Fast path: one row per host per scrape — timestamps are stored
         // once for the whole group.
-        st = db->InsertGroupFast(group_refs[h], slots[h], ts, values);
+        batch.AddGroupRow(group_refs[h], slots[h], ts, std::move(values));
       }
-      if (!st.ok()) {
-        std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
-        return 1;
-      }
+    }
+    st = db->Write(batch, &written);
+    if (st.ok()) st = written.first_error;
+    if (!st.ok()) {
+      std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    for (size_t h = 0; h < written.resolved_groups.size(); ++h) {
+      group_refs[h] = written.resolved_groups[h].group_ref;
+      slots[h] = written.resolved_groups[h].slots;
     }
   }
   db->Flush();
@@ -79,18 +88,22 @@ int main(int argc, char** argv) {
   // Query one member by its unique tags: resolved group-first, then
   // through the second-level index inside the group.
   QueryResult result;
-  st = db->Query({TagMatcher::Equal("hostname", gen.HostName(2)),
-                  TagMatcher::Equal("fieldname", gen.FieldName(0))},
-                 0, gen.end_ts(), &result);
+  st = db->Query(
+      ReadRequest::Range({TagMatcher::Equal("hostname", gen.HostName(2)),
+                          TagMatcher::Equal("fieldname", gen.FieldName(0))},
+                         0, gen.end_ts()),
+      &result);
   if (!st.ok()) return 1;
   std::printf("%s on %s: %zu series, %zu samples\n",
               gen.FieldName(0).c_str(), gen.HostName(2).c_str(),
               result.size(), result.empty() ? 0 : result[0].samples.size());
 
   // A cross-host aggregate: MAX cpu_usage_0 over all hosts, 5-min windows.
-  st = db->Query({TagMatcher::Regex("hostname", "host_.*"),
-                  TagMatcher::Equal("fieldname", gen.FieldName(0))},
-                 0, gen.end_ts(), &result);
+  st = db->Query(
+      ReadRequest::Range({TagMatcher::Regex("hostname", "host_.*"),
+                          TagMatcher::Equal("fieldname", gen.FieldName(0))},
+                         0, gen.end_ts()),
+      &result);
   if (!st.ok()) return 1;
   double max_v = 0;
   for (const auto& series : result) {

@@ -17,8 +17,11 @@ using tu::Status;
 using tu::core::DBOptions;
 using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
+using tu::core::WriteBatch;
+using tu::core::WriteResult;
 using tu::index::Labels;
 using tu::index::TagMatcher;
+using tu::query::ReadRequest;
 
 namespace {
 constexpr int64_t kMinute = 60 * 1000;
@@ -41,24 +44,33 @@ int main(int argc, char** argv) {
   }
 
   // 20 sensors reporting temperature every minute for 36 hours.
+  // The first batch registers every sensor by tag set (slow path); the
+  // rest go by the references it returned (fast path).
   const int kSensors = 20;
-  std::vector<uint64_t> refs(kSensors, 0);
-  tu::Random rng(7);
+  WriteBatch batch;
+  WriteResult written;
+  auto write = [&]() {
+    Status s = db->Write(batch, &written);
+    return s.ok() ? written.first_error : s;
+  };
   for (int d = 0; d < kSensors; ++d) {
-    const Labels labels = {{"device", "sensor-" + std::to_string(d)},
+    batch.AddSample(Labels{{"device", "sensor-" + std::to_string(d)},
                            {"metric", "temperature"},
-                           {"site", d < 10 ? "plant-a" : "plant-b"}};
-    st = db->Insert(labels, 0, 20.0, &refs[d]);
-    if (!st.ok()) return 1;
+                           {"site", d < 10 ? "plant-a" : "plant-b"}},
+                    0, 20.0);
   }
+  if (!write().ok()) return 1;
+  const std::vector<uint64_t> refs = written.resolved_refs;
+  tu::Random rng(7);
+  batch.Clear();
   for (int64_t ts = kMinute; ts < 36 * kHour; ts += kMinute) {
     for (int d = 0; d < kSensors; ++d) {
       // Devices 15..19 are flaky: they skip 30% of live uploads.
       if (d >= 15 && rng.OneIn(3)) continue;
-      st = db->InsertFast(refs[d], ts, 20.0 + rng.NextGaussian(0, 2));
-      if (!st.ok()) return 1;
+      batch.AddSample(refs[d], ts, 20.0 + rng.NextGaussian(0, 2));
     }
   }
+  if (!write().ok()) return 1;
   db->Flush();
   std::printf("live ingestion done; L2 partitions on object storage: %zu\n",
               db->time_lsm()->NumL2Partitions());
@@ -66,12 +78,13 @@ int main(int argc, char** argv) {
   // The flaky devices come back online and upload their buffered backlog —
   // hours-old timestamps landing in partitions already migrated to the
   // object tier.
+  batch.Clear();
   for (int d = 15; d < kSensors; ++d) {
     for (int64_t ts = kMinute; ts < 30 * kHour; ts += 3 * kMinute) {
-      st = db->InsertFast(refs[d], ts, 19.0);  // backfilled reading
-      if (!st.ok()) return 1;
+      batch.AddSample(refs[d], ts, 19.0);  // backfilled reading
     }
   }
+  if (!write().ok()) return 1;
   db->Flush();
   const auto& stats = db->time_lsm()->stats();
   std::printf("backlog absorbed: %llu patch SSTables appended, %llu patch "
@@ -81,8 +94,9 @@ int main(int argc, char** argv) {
 
   // Verify a backfilled window reads back correctly.
   QueryResult result;
-  st = db->Query({TagMatcher::Equal("device", "sensor-17")}, 2 * kHour,
-                 3 * kHour, &result);
+  st = db->Query(ReadRequest::Range({TagMatcher::Equal("device", "sensor-17")},
+                                    2 * kHour, 3 * kHour),
+                 &result);
   if (!st.ok()) return 1;
   std::printf("sensor-17, hour 2-3: %zu samples after backfill\n",
               result.empty() ? 0 : result[0].samples.size());
@@ -90,14 +104,14 @@ int main(int argc, char** argv) {
   // Retention: keep only the last 12 hours.
   st = db->ApplyRetention(24 * kHour);
   if (!st.ok()) return 1;
-  st = db->Query({TagMatcher::Equal("metric", "temperature")}, 0, 23 * kHour,
-                 &result);
+  const TagMatcher temperature = TagMatcher::Equal("metric", "temperature");
+  st = db->Query(ReadRequest::Range({temperature}, 0, 23 * kHour), &result);
   if (!st.ok()) return 1;
   std::printf("after retention (watermark 24h): %zu series with data before "
               "hour 23 (expected 0)\n",
               result.size());
-  st = db->Query({TagMatcher::Equal("metric", "temperature")}, 30 * kHour,
-                 36 * kHour, &result);
+  st = db->Query(ReadRequest::Range({temperature}, 30 * kHour, 36 * kHour),
+                 &result);
   if (!st.ok()) return 1;
   std::printf("recent window still served: %zu series\n", result.size());
   return 0;

@@ -1,7 +1,7 @@
 // Observability tour: run a small write + query workload, then export the
 // DB's introspection snapshot in both supported formats — JSON (stable,
-// machine-readable schema) and Prometheus text exposition — and show the
-// human-oriented HealthReport on top of the same data.
+// machine-readable schema) and Prometheus text exposition — and read a few
+// health fields out of the same snapshot by name.
 //
 //   ./metrics_snapshot [workspace_dir]
 #include <cstdio>
@@ -32,21 +32,26 @@ int main(int argc, char** argv) {
   }
 
   // A little traffic so the snapshot has something to say.
+  tu::core::WriteBatch batch;
   for (int series = 0; series < 4; ++series) {
-    uint64_t ref = 0;
-    st = db->Insert({{"host", std::to_string(series)}, {"m", "cpu"}}, 0, 0.0,
-                    &ref);
-    if (!st.ok()) {
-      std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
-      return 1;
+    for (int i = 0; i < 500; ++i) {
+      batch.AddSample(
+          tu::index::Labels{{"host", std::to_string(series)}, {"m", "cpu"}},
+          i * 1000LL, 0.5 * i);
     }
-    for (int i = 1; i < 500; ++i) {
-      db->InsertFast(ref, i * 1000LL, 0.5 * i);
-    }
+  }
+  tu::core::WriteResult written;
+  st = db->Write(batch, &written);
+  if (st.ok()) st = written.first_error;
+  if (!st.ok()) {
+    std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
+    return 1;
   }
   db->Flush();
   QueryResult result;
-  db->Query({TagMatcher::Equal("m", "cpu")}, 0, 500'000, &result);
+  db->Query(tu::query::ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                          500'000),
+            &result);
 
   // One consistent snapshot: counters, gauges, latency histograms with
   // p50/p90/p99, and the recent-event ring buffer.
@@ -67,14 +72,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(h->max_us));
   }
 
-  // HealthReport/CountersReport are views over the same registry.
-  const tu::core::HealthReport health = db->HealthReport();
-  std::printf("\n--- HealthReport ---\n"
-              "breaker_enabled=%d deferred_tables=%zu fast_bytes=%llu "
-              "cache_hits=%llu background_error=%s\n",
-              health.breaker_enabled ? 1 : 0, health.deferred_tables,
-              static_cast<unsigned long long>(health.fast_bytes),
-              static_cast<unsigned long long>(health.block_cache_hits),
-              health.last_background_error.ToString().c_str());
+  // Health questions read the same snapshot by name.
+  const std::string* health = snap.FindString("db.health");
+  const std::string* last_error = snap.FindString("db.last_background_error");
+  std::printf("\nhealth=%s breaker_enabled=%d deferred_tables=%lld "
+              "fast_bytes=%lld cache_hits=%llu background_error=%s\n",
+              health != nullptr ? health->c_str() : "?",
+              snap.GaugeOr0("breaker.enabled") != 0 ? 1 : 0,
+              static_cast<long long>(snap.GaugeOr0("lsm.deferred_tables")),
+              static_cast<long long>(snap.GaugeOr0("lsm.fast_bytes")),
+              static_cast<unsigned long long>(snap.CounterOr0("cache.hits")),
+              last_error != nullptr ? last_error->c_str() : "?");
   return 0;
 }

@@ -1,5 +1,6 @@
-// Quickstart: open a TimeUnion database, insert a few timeseries through
-// the slow and fast paths, and query them back with tag selectors.
+// Quickstart: open a TimeUnion database, write a few timeseries through
+// the slow and fast paths of WriteBatch, and query them back with tag
+// selectors.
 //
 //   ./quickstart [workspace_dir]
 #include <cstdio>
@@ -12,6 +13,8 @@ using tu::Status;
 using tu::core::DBOptions;
 using tu::core::QueryResult;
 using tu::core::TimeUnionDB;
+using tu::core::WriteBatch;
+using tu::core::WriteResult;
 using tu::index::Labels;
 using tu::index::TagMatcher;
 
@@ -27,39 +30,48 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ---- Put (Timeseries), slow path: the first insertion carries the full
-  // tag set and returns a series reference.
-  const Labels cpu_labels = {
-      {"hostname", "web-01"}, {"metric", "cpu_usage"}, {"region", "tokyo"}};
-  uint64_t cpu_ref = 0;
-  st = db->Insert(cpu_labels, /*ts=*/0, /*value=*/12.5, &cpu_ref);
+  // ---- Put (Timeseries), slow path: a labeled row carries the full tag
+  // set; Write registers the series and returns its reference. A second
+  // series rides in the same batch to demonstrate selectors.
+  WriteBatch batch;
+  WriteResult written;
+  batch.AddSample(Labels{{"hostname", "web-01"},
+                         {"metric", "cpu_usage"},
+                         {"region", "tokyo"}},
+                  /*ts=*/0, /*value=*/12.5);
+  batch.AddSample(Labels{{"hostname", "web-01"},
+                         {"metric", "mem_usage"},
+                         {"region", "tokyo"}},
+                  /*ts=*/0, /*value=*/2048);
+  st = db->Write(batch, &written);
+  if (st.ok()) st = written.first_error;
   if (!st.ok()) {
-    std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
+    std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
     return 1;
   }
+  const uint64_t cpu_ref = written.resolved_refs[0];
   std::printf("registered series ref=%llu\n",
               static_cast<unsigned long long>(cpu_ref));
 
   // ---- Fast path: subsequent samples go by reference (no tag handling).
+  batch.Clear();
   for (int i = 1; i <= 120; ++i) {
-    st = db->InsertFast(cpu_ref, i * 30'000LL, 12.5 + i % 7);
-    if (!st.ok()) {
-      std::fprintf(stderr, "insert failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    batch.AddSample(cpu_ref, i * 30'000LL, 12.5 + i % 7);
   }
-
-  // A second series to demonstrate selectors.
-  uint64_t mem_ref = 0;
-  db->Insert({{"hostname", "web-01"}, {"metric", "mem_usage"},
-              {"region", "tokyo"}},
-             0, 2048, &mem_ref);
+  st = db->Write(batch, &written);
+  if (st.ok()) st = written.first_error;
+  if (!st.ok()) {
+    std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
 
   // ---- Get: time range + tag selectors (exact and regex).
   QueryResult result;
-  st = db->Query({TagMatcher::Equal("hostname", "web-01"),
-                  TagMatcher::Regex("metric", "cpu.*")},
-                 0, 3'600'000, &result);
+  st = db->Query(tu::query::ReadRequest::Range(
+                     {TagMatcher::Equal("hostname", "web-01"),
+                      TagMatcher::Regex("metric", "cpu.*")},
+                     0, 3'600'000),
+                 &result);
   if (!st.ok()) {
     std::fprintf(stderr, "query failed: %s\n", st.ToString().c_str());
     return 1;

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "cloud/circuit_breaker.h"
 #include "cloud/retry_policy.h"
@@ -85,7 +84,6 @@ struct TierCounters {
   std::atomic<uint64_t> breaker_opens{0};
 
   void Reset();
-  std::string Report(const std::string& tier_name) const;
 };
 
 /// Charges `us` of latency against `counters`, sleeping if the model says so.

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <map>
 #include <regex>
-#include <sstream>
 
 #include <chrono>
 #include <thread>
@@ -760,11 +759,6 @@ Status TimeUnionDB::AdmitWrite(uint64_t num_samples) {
 // Batched write pipeline
 // ---------------------------------------------------------------------------
 
-TimeUnionDB::ShimScratch& TimeUnionDB::TlsShimScratch() {
-  static thread_local ShimScratch scratch;
-  return scratch;
-}
-
 void TimeUnionDB::RowReject(WriteResult* result, const Status& s) {
   ++result->rejected;
   if (result->first_error.ok()) result->first_error = s;
@@ -970,25 +964,6 @@ Status TimeUnionDB::Write(const WriteBatch& batch, WriteResult* result) {
   return Status::OK();
 }
 
-Status TimeUnionDB::Insert(const Labels& labels, int64_t ts, double value,
-                           uint64_t* series_ref) {
-  ShimScratch& tls = TlsShimScratch();
-  tls.batch.Clear();
-  tls.batch.AddSample(labels, ts, value);
-  TU_RETURN_IF_ERROR(Write(tls.batch, &tls.result));
-  TU_RETURN_IF_ERROR(tls.result.first_error);
-  *series_ref = tls.result.resolved_refs[0];
-  return Status::OK();
-}
-
-Status TimeUnionDB::InsertFast(uint64_t series_ref, int64_t ts, double value) {
-  ShimScratch& tls = TlsShimScratch();
-  tls.batch.Clear();
-  tls.batch.AddSample(series_ref, ts, value);
-  TU_RETURN_IF_ERROR(Write(tls.batch, &tls.result));
-  return tls.result.first_error;
-}
-
 Status TimeUnionDB::AppendRowToGroup(GroupEntry* entry,
                                      const std::vector<uint32_t>& slots,
                                      int64_t ts,
@@ -1183,32 +1158,6 @@ void TimeUnionDB::WriteLabeledGroupRows(const WriteBatch& batch,
   }
 }
 
-Status TimeUnionDB::InsertGroup(const Labels& group_tags,
-                                const std::vector<Labels>& member_tags,
-                                int64_t ts, const std::vector<double>& values,
-                                uint64_t* group_ref,
-                                std::vector<uint32_t>* slots) {
-  ShimScratch& tls = TlsShimScratch();
-  tls.batch.Clear();
-  tls.batch.AddGroupRow(group_tags, member_tags, ts, values);
-  TU_RETURN_IF_ERROR(Write(tls.batch, &tls.result));
-  TU_RETURN_IF_ERROR(tls.result.first_error);
-  *group_ref = tls.result.resolved_groups[0].group_ref;
-  *slots = tls.result.resolved_groups[0].slots;
-  return Status::OK();
-}
-
-Status TimeUnionDB::InsertGroupFast(uint64_t group_ref,
-                                    const std::vector<uint32_t>& slots,
-                                    int64_t ts,
-                                    const std::vector<double>& values) {
-  ShimScratch& tls = TlsShimScratch();
-  tls.batch.Clear();
-  tls.batch.AddGroupRow(group_ref, slots, ts, values);
-  TU_RETURN_IF_ERROR(Write(tls.batch, &tls.result));
-  return tls.result.first_error;
-}
-
 // ---------------------------------------------------------------------------
 // Query path
 // ---------------------------------------------------------------------------
@@ -1228,7 +1177,7 @@ bool MatcherMatches(const TagMatcher& m, const Labels& labels) {
   return false;
 }
 
-/// Shared input validation of the two public query entry points.
+/// Shared input validation of the three public query entry points.
 Status ValidateQueryArgs(const std::vector<TagMatcher>& matchers, int64_t t0,
                          int64_t t1) {
   if (t0 > t1) return Status::InvalidArgument("query time range: t0 > t1");
@@ -1239,19 +1188,6 @@ Status ValidateQueryArgs(const std::vector<TagMatcher>& matchers, int64_t t0,
 }
 
 }  // namespace
-
-bool TimeUnionDB::AllowPartialReads(
-    query::ReadRequest::Strictness s) const {
-  switch (s) {
-    case query::ReadRequest::Strictness::kStrict:
-      return false;
-    case query::ReadRequest::Strictness::kAllowPartial:
-      return true;
-    case query::ReadRequest::Strictness::kDefault:
-      break;
-  }
-  return !options_.strict_reads;
-}
 
 Status TimeUnionDB::QueryIteratorsImpl(const std::vector<TagMatcher>& matchers,
                                        int64_t t0, int64_t t1,
@@ -1375,9 +1311,9 @@ Status TimeUnionDB::Query(const query::ReadRequest& request,
   // spans. `out->stats` outlives the iterators (both are scoped here), so
   // drain-time counters (block reads, cache hits, decodes) land in it too.
   std::vector<SeriesIterResult> iters;
-  TU_RETURN_IF_ERROR(QueryIteratorsImpl(
-      request.matchers, request.t0, request.t1,
-      AllowPartialReads(request.strictness), &iters, &out->stats));
+  TU_RETURN_IF_ERROR(QueryIteratorsImpl(request.matchers, request.t0,
+                                        request.t1, request.AllowsPartial(),
+                                        &iters, &out->stats));
 
   const uint64_t drain_start_us = obs::MonotonicUs();
   std::vector<query::SampleBatch> batches;
@@ -1416,11 +1352,6 @@ Status TimeUnionDB::Query(const query::ReadRequest& request,
   return Status::OK();
 }
 
-Status TimeUnionDB::Query(const std::vector<TagMatcher>& matchers, int64_t t0,
-                          int64_t t1, QueryResult* out) {
-  return Query(query::ReadRequest::Range(matchers, t0, t1), out);
-}
-
 Status TimeUnionDB::QueryIterators(const query::ReadRequest& request,
                                    std::vector<SeriesIterResult>* out,
                                    query::QueryStats* stats) {
@@ -1431,22 +1362,14 @@ Status TimeUnionDB::QueryIterators(const query::ReadRequest& request,
         "QueryIterators: aggregate request (step_ms > 0) — use "
         "AggregateQuery");
   }
-  TU_RETURN_IF_ERROR(QueryIteratorsImpl(
-      request.matchers, request.t0, request.t1,
-      AllowPartialReads(request.strictness), out, stats));
+  TU_RETURN_IF_ERROR(QueryIteratorsImpl(request.matchers, request.t0,
+                                        request.t1, request.AllowsPartial(),
+                                        out, stats));
   // DB-lifetime totals for streaming queries capture the creation-time
   // counters (table/partition pruning); counters that accrue while the
   // caller drains the lazy iterators land only in `stats`.
   AddQueryTotals(stats != nullptr ? *stats : query::QueryStats());
   return Status::OK();
-}
-
-Status TimeUnionDB::QueryIterators(const std::vector<TagMatcher>& matchers,
-                                   int64_t t0, int64_t t1,
-                                   std::vector<SeriesIterResult>* out,
-                                   query::QueryStats* stats) {
-  return QueryIterators(query::ReadRequest::Range(matchers, t0, t1), out,
-                        stats);
 }
 
 Status TimeUnionDB::AggregateQuery(const query::ReadRequest& request,
@@ -1456,7 +1379,7 @@ Status TimeUnionDB::AggregateQuery(const query::ReadRequest& request,
   const int64_t t1 = request.t1;
   const int64_t step_ms = request.step_ms;
   const query::AggFn fn = request.fn;
-  const bool allow_partial = AllowPartialReads(request.strictness);
+  const bool allow_partial = request.AllowsPartial();
   out->series.clear();
   out->ResetCompleteness();
   out->stats = query::QueryStats();
@@ -1616,13 +1539,6 @@ Status TimeUnionDB::AggregateQuery(const query::ReadRequest& request,
     h_query_e2e_->Observe(obs::MonotonicUs() - query_start_us);
   }
   return Status::OK();
-}
-
-Status TimeUnionDB::AggregateQuery(const std::vector<TagMatcher>& matchers,
-                                   int64_t t0, int64_t t1, int64_t step_ms,
-                                   query::AggFn fn, AggregateResult* out) {
-  return AggregateQuery(
-      query::ReadRequest::Aggregate(matchers, t0, t1, step_ms, fn), out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1917,132 +1833,6 @@ obs::MetricsSnapshot TimeUnionDB::Metrics() const {
 
   snap.Canonicalize();
   return snap;
-}
-
-core::HealthReport TimeUnionDB::HealthReport() const {
-  // A typed view over the metrics snapshot: every numeric field is read
-  // from the same source Metrics() exposes, so the two cannot diverge
-  // (obs_test asserts parity). Only the background-error Status is richer
-  // than a gauge and is read from the LSM directly.
-  const obs::MetricsSnapshot snap = Metrics();
-  core::HealthReport r;
-  r.breaker_enabled = snap.GaugeOr0("breaker.enabled") != 0;
-  r.slow_breaker =
-      static_cast<cloud::BreakerState>(snap.GaugeOr0("breaker.state"));
-  r.breaker_rejections = snap.CounterOr0("slow.breaker_rejections");
-  r.breaker_opens = snap.CounterOr0("slow.breaker_opens");
-  r.deferred_tables = static_cast<size_t>(snap.GaugeOr0("lsm.deferred_tables"));
-  r.deferred_bytes =
-      static_cast<uint64_t>(snap.GaugeOr0("lsm.deferred_bytes"));
-  r.deferred_uploads_drained = snap.CounterOr0("lsm.deferred_uploads_drained");
-  r.fast_bytes = static_cast<uint64_t>(snap.GaugeOr0("lsm.fast_bytes"));
-  r.fast_limit_bytes =
-      static_cast<uint64_t>(snap.GaugeOr0("lsm.fast_limit_bytes"));
-  r.writers_delayed = snap.CounterOr0("admission.writers_delayed");
-  r.writes_rejected = snap.CounterOr0("admission.writes_rejected");
-  r.block_cache_enabled = snap.GaugeOr0("cache.enabled") != 0;
-  r.block_cache_usage = static_cast<size_t>(snap.GaugeOr0("cache.usage"));
-  r.block_cache_hits = snap.CounterOr0("cache.hits");
-  r.block_cache_misses = snap.CounterOr0("cache.misses");
-  r.block_cache_evictions = snap.CounterOr0("cache.evictions");
-  r.scrub_enabled = snap.GaugeOr0("scrub.enabled") != 0;
-  r.scrub_passes = snap.CounterOr0("scrub.passes");
-  r.scrub_corruptions_found = snap.CounterOr0("scrub.corruptions_found");
-  r.scrub_repaired = snap.CounterOr0("scrub.repaired");
-  r.scrub_quarantined = snap.CounterOr0("scrub.quarantined");
-  r.read_corruptions_detected =
-      snap.CounterOr0("integrity.read_corruptions_detected");
-  r.read_corruptions_healed =
-      snap.CounterOr0("integrity.read_corruptions_healed");
-  r.server_open_connections =
-      static_cast<uint64_t>(snap.GaugeOr0("server.open_connections"));
-  r.server_inflight_requests =
-      static_cast<uint64_t>(snap.GaugeOr0("server.inflight_requests"));
-  r.server_tenant_rejects = snap.CounterOr0("server.tenant_rejects");
-  if (time_lsm_ != nullptr) {
-    r.last_background_error = time_lsm_->last_background_error();
-  }
-  r.health = error_handler_.health();
-  {
-    const ErrorHandler::Counters ec = error_handler_.counters();
-    r.background_errors = ec.errors_total;
-    r.background_errors_soft = ec.soft_errors;
-    r.background_errors_hard = ec.hard_errors;
-    r.resume_attempts = ec.resume_attempts;
-    r.resumes_succeeded = ec.resumes_succeeded;
-    r.resume_failures = ec.resume_failures;
-  }
-  return r;
-}
-
-std::string TimeUnionDB::CountersReport() const {
-  // Formatter over the same snapshot (the format predates the registry and
-  // is asserted by tests, so it is reconstructed field by field).
-  const obs::MetricsSnapshot snap = Metrics();
-  auto tier_line = [&snap](const std::string& label, const std::string& p) {
-    std::ostringstream os;
-    os << label << ": gets=" << snap.CounterOr0(p + ".gets")
-       << " puts=" << snap.CounterOr0(p + ".puts")
-       << " deletes=" << snap.CounterOr0(p + ".deletes")
-       << " read_bytes=" << snap.CounterOr0(p + ".read_bytes")
-       << " written_bytes=" << snap.CounterOr0(p + ".written_bytes")
-       << " charged_ms=" << snap.CounterOr0(p + ".charged_us") / 1000
-       << " faults=" << snap.CounterOr0(p + ".faults")
-       << " retries=" << snap.CounterOr0(p + ".retries")
-       << " give_ups=" << snap.CounterOr0(p + ".give_ups")
-       << " breaker_rejections=" << snap.CounterOr0(p + ".breaker_rejections")
-       << " breaker_opens=" << snap.CounterOr0(p + ".breaker_opens");
-    return os.str();
-  };
-  std::string report =
-      tier_line("fast(EBS)", "fast") + "\n" + tier_line("slow(S3)", "slow");
-  if (snap.GaugeOr0("breaker.enabled") != 0) {
-    report += " breaker=";
-    report += cloud::BreakerStateName(
-        static_cast<cloud::BreakerState>(snap.GaugeOr0("breaker.state")));
-  }
-  char buf[512];
-  if (snap.GaugeOr0("cache.enabled") != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "\nblock_cache: hits=%llu misses=%llu evictions=%llu "
-                  "usage=%zu",
-                  static_cast<unsigned long long>(snap.CounterOr0("cache.hits")),
-                  static_cast<unsigned long long>(
-                      snap.CounterOr0("cache.misses")),
-                  static_cast<unsigned long long>(
-                      snap.CounterOr0("cache.evictions")),
-                  static_cast<size_t>(snap.GaugeOr0("cache.usage")));
-  } else {
-    std::snprintf(buf, sizeof(buf), "\nblock_cache: disabled");
-  }
-  report += buf;
-  query::QueryStats totals;
-  totals.partitions_pruned = snap.CounterOr0("query.partitions_pruned");
-  totals.tables_considered = snap.CounterOr0("query.tables_considered");
-  totals.tables_pruned_id = snap.CounterOr0("query.tables_pruned_id");
-  totals.tables_pruned_time = snap.CounterOr0("query.tables_pruned_time");
-  totals.tables_pruned_bloom = snap.CounterOr0("query.tables_pruned_bloom");
-  totals.tables_skipped_unreachable =
-      snap.CounterOr0("query.tables_skipped_unreachable");
-  totals.blocks_read = snap.CounterOr0("query.blocks_read");
-  totals.blocks_pruned = snap.CounterOr0("query.blocks_pruned");
-  totals.cache_hits = snap.CounterOr0("query.cache_hits");
-  totals.cache_misses = snap.CounterOr0("query.cache_misses");
-  totals.slow_tier_fetches = snap.CounterOr0("query.slow_tier_fetches");
-  totals.block_bytes_read = snap.CounterOr0("query.block_bytes_read");
-  totals.chunks_decoded = snap.CounterOr0("query.chunks_decoded");
-  totals.bytes_decoded = snap.CounterOr0("query.bytes_decoded");
-  totals.batches_decoded = snap.CounterOr0("query.batches_decoded");
-  totals.samples_decoded = snap.CounterOr0("query.samples_decoded");
-  totals.rollup_buckets_served = snap.CounterOr0("query.rollup_buckets_served");
-  totals.raw_edge_samples = snap.CounterOr0("query.raw_edge_samples");
-  totals.setup_us = snap.CounterOr0("query.setup_us_total");
-  totals.drain_us = snap.CounterOr0("query.drain_us_total");
-  std::snprintf(buf, sizeof(buf), "\nqueries: run=%llu ",
-                static_cast<unsigned long long>(snap.CounterOr0("query.runs")));
-  report += buf;
-  report += totals.ToString();
-  return report;
 }
 
 void TimeUnionDB::EmitMetricsLine() {

@@ -1,10 +1,14 @@
 // TimeUnionDB: the public API of the paper's system — the unified data
 // model (§3.1), memory-efficient global index and head objects (§3.2), the
 // elastic time-partitioned LSM-tree on hybrid cloud storage (§3.3), and
-// the four operations of §3.4:
-//   Insert / InsertFast           — Put(Timeseries), slow/fast path
-//   InsertGroup / InsertGroupFast — Put(Group), slow/fast path
-//   Query                         — Get with time range + tag selectors
+// the operations of §3.4, each with one entry point:
+//   Write(WriteBatch) — Put(Timeseries) and Put(Group). A batch row picks
+//       the path: labeled samples / labeled group rows are the slow path
+//       (tag-based, resolve-or-register); ref samples / ref group rows
+//       are the fast path (by the reference the slow path returned).
+//   Query / QueryIterators / AggregateQuery(ReadRequest) — Get with tag
+//       selectors and a time range (materialized, streaming, windowed).
+// Introspection is one typed snapshot, Metrics().
 //
 // Concurrency model (see DESIGN.md "Threading model"): the front door is
 // sharded, not globally locked. Key→ref and ref→entry registries are split
@@ -90,13 +94,6 @@ struct DBOptions {
   /// Purge the WAL when it exceeds this size.
   uint64_t wal_purge_bytes = 16 << 20;
 
-  /// Degraded reads: when false (the default), Query / QueryIterators keep
-  /// working through a slow-tier outage by skipping unreachable L2 tables
-  /// and reporting `QueryResult::complete = false` with the merged
-  /// `missing_ranges`. When true, the first unreachable table fails the
-  /// query (fail-fast semantics for callers that cannot use partial data).
-  bool strict_reads = false;
-
   /// Fast-tier budget backpressure. During a slow-tier outage deferred L2
   /// uploads park on the fast tier, so unbounded ingest would eventually
   /// fill it. Watermarks are fractions of `lsm.fast_storage_limit_bytes`:
@@ -176,7 +173,7 @@ struct SeriesResult {
 
 /// Query output: the matched series plus the shared completeness marker
 /// for degraded reads (query::Completeness — when the slow tier was
-/// unreachable and DBOptions::strict_reads == false, `complete` is false
+/// unreachable and the request allowed partial reads, `complete` is false
 /// and `missing_ranges` holds the merged, query-range-clamped spans whose
 /// data may be absent). Exposes the vector interface of its `series`
 /// member so result-consuming code can keep treating it as a container.
@@ -202,64 +199,6 @@ struct QueryResult : query::Completeness {
   }
 };
 
-/// Point-in-time health snapshot (see DESIGN.md "Degraded operation"):
-/// slow-tier breaker state, deferred-upload backlog, fast-tier pressure
-/// and the latest background error. All counters are cumulative since
-/// Open.
-struct HealthReport {
-  /// Slow-tier circuit breaker (kClosed when the breaker is disabled).
-  cloud::BreakerState slow_breaker = cloud::BreakerState::kClosed;
-  bool breaker_enabled = false;
-  uint64_t breaker_rejections = 0;
-  uint64_t breaker_opens = 0;
-  /// L2-logical tables currently parked on the fast tier.
-  size_t deferred_tables = 0;
-  uint64_t deferred_bytes = 0;
-  uint64_t deferred_uploads_drained = 0;
-  /// Fast-tier occupancy vs the Algorithm-1 budget (limit 0 = unbounded).
-  uint64_t fast_bytes = 0;
-  uint64_t fast_limit_bytes = 0;
-  /// Admission-control outcomes (always 0 unless admission.enabled).
-  uint64_t writers_delayed = 0;
-  uint64_t writes_rejected = 0;
-  /// Block cache occupancy and cumulative hit/miss/eviction counts.
-  /// `block_cache_enabled` is false when DBOptions::block_cache_bytes == 0
-  /// (caching disabled; the counters stay 0).
-  bool block_cache_enabled = false;
-  uint64_t block_cache_usage = 0;
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
-  uint64_t block_cache_evictions = 0;
-  /// Background scrub progress (0s when scrub was never configured/run).
-  bool scrub_enabled = false;
-  uint64_t scrub_passes = 0;
-  uint64_t scrub_corruptions_found = 0;
-  uint64_t scrub_repaired = 0;
-  uint64_t scrub_quarantined = 0;
-  /// Self-healing read path: corrupt blocks detected / healed in place.
-  uint64_t read_corruptions_detected = 0;
-  uint64_t read_corruptions_healed = 0;
-  /// Network front door (src/server): live connection / request gauges and
-  /// the cumulative tenant-limit rejects. All zero unless a server::Server
-  /// is attached to this DB (the server publishes them into the metrics
-  /// registry under server.*).
-  uint64_t server_open_connections = 0;
-  uint64_t server_inflight_requests = 0;
-  uint64_t server_tenant_rejects = 0;
-  /// Sticky background flush/maintenance error; OK when healthy.
-  Status last_background_error;
-  /// Background-error state machine (DESIGN.md "Background error handling
-  /// and auto-recovery"): current health, classified error totals and the
-  /// resume-probe track record.
-  DbHealth health = DbHealth::kHealthy;
-  uint64_t background_errors = 0;
-  uint64_t background_errors_soft = 0;
-  uint64_t background_errors_hard = 0;
-  uint64_t resume_attempts = 0;
-  uint64_t resumes_succeeded = 0;
-  uint64_t resume_failures = 0;
-};
-
 class TimeUnionDB {
  public:
   static Status Open(DBOptions options, std::unique_ptr<TimeUnionDB>* db);
@@ -268,11 +207,11 @@ class TimeUnionDB {
   TimeUnionDB(const TimeUnionDB&) = delete;
   TimeUnionDB& operator=(const TimeUnionDB&) = delete;
 
-  // -- Put, batched (the primary write entry point) -------------------------
+  // -- Put, §3.4 (the one write entry point) ---------------------------------
 
   /// Applies a whole WriteBatch: ref samples, labeled samples, group rows.
-  /// This is the write path — the per-sample Insert* calls below are thin
-  /// single-row shims over it. Amortizations relative to one call per row:
+  /// This is the only write path (§3.4 Put(Timeseries) and Put(Group),
+  /// slow and fast). Amortizations relative to one call per row:
   /// the write-quiesce gate and admission check run once per batch (charged
   /// with the batch's sample count), consecutive rows addressing the same
   /// series share one shard/stripe lock acquisition, and all sample WAL
@@ -284,102 +223,52 @@ class TimeUnionDB {
   /// (invalid batch shape, write quiesce, admission hard reject, WAL
   /// append failure) — after which no further rows were applied.
   ///
-  /// Durability: like the per-sample paths, every applied row's WAL record
-  /// is appended before Write returns (a SyncWal afterwards makes them
-  /// crash-durable). Note the batch's records are logged after its head
-  /// appends, so two racing writers hitting the same series with the same
-  /// timestamp may replay in either order — exactly as arbitrary as the
-  /// race itself.
+  /// Durability: every applied row's WAL record is appended before Write
+  /// returns (a SyncWal afterwards makes them crash-durable). Note the
+  /// batch's records are logged after its head appends, so two racing
+  /// writers hitting the same series with the same timestamp may replay in
+  /// either order — exactly as arbitrary as the race itself.
   Status Write(const WriteBatch& batch, WriteResult* result);
-
-  // -- Put (Timeseries), §3.4 ---------------------------------------------
-
-  /// Legacy single-sample shim over Write(): resolves (or registers) the
-  /// series identified by `labels` and appends one sample. Returns the
-  /// series reference for the fast path. Only first-time registration
-  /// serializes (registration mutex); the steady-state resolve+append runs
-  /// under shard/entry locks.
-  Status Insert(const index::Labels& labels, int64_t ts, double value,
-                uint64_t* series_ref);
-
-  /// Legacy single-sample shim over Write(): appends by reference, skipping
-  /// tag comparison. Appends to different series proceed in parallel;
-  /// appends to one series serialize on its entry lock.
-  Status InsertFast(uint64_t series_ref, int64_t ts, double value);
 
   /// Resolves (or registers) a series without appending a sample — lets a
   /// client obtain the fast-path reference up front.
   Status RegisterSeries(const index::Labels& labels, uint64_t* series_ref);
 
-  // -- Put (Group), §3.4 ----------------------------------------------------
-
-  /// Legacy single-row shim over Write(): registers/extends the group
-  /// identified by `group_tags`,
-  /// appends one shared-timestamp row with `values[i]` for the member
-  /// identified by `member_tags[i]`. Returns the group reference and the
-  /// member slot indexes for the fast path. Serializes on the registration
-  /// mutex (member resolution may mutate the index); use InsertGroupFast
-  /// for parallel steady-state ingest.
-  Status InsertGroup(const index::Labels& group_tags,
-                     const std::vector<index::Labels>& member_tags,
-                     int64_t ts, const std::vector<double>& values,
-                     uint64_t* group_ref, std::vector<uint32_t>* slots);
-
-  /// Legacy single-row shim over Write(): appends a row by group reference
-  /// + member slots. Rows into different groups proceed in parallel.
-  Status InsertGroupFast(uint64_t group_ref,
-                         const std::vector<uint32_t>& slots, int64_t ts,
-                         const std::vector<double>& values);
-
   // -- Get, §3.4 ------------------------------------------------------------
 
-  /// The consolidated read entry point (query::ReadRequest): matchers +
-  /// inclusive time range + per-request strictness. Rejects aggregate
-  /// requests (step_ms > 0) with InvalidArgument — those go through
-  /// AggregateQuery. The wire protocol's query handler maps onto this 1:1.
-  Status Query(const query::ReadRequest& request, QueryResult* out);
-
-  /// Returns every timeseries matching all `matchers` restricted to
-  /// [t0, t1] (inclusive), including group members located through the
-  /// two-level index. Runs without any global lock: each matched entry is
-  /// snapshotted under its shard/entry locks (labels + open chunk), then
-  /// the LSM is read lock-free. The result is a consistent point-in-time
-  /// view per series.
+  /// Returns every timeseries matching all of the request's matchers
+  /// restricted to [t0, t1] (inclusive), including group members located
+  /// through the two-level index. Runs without any global lock: each
+  /// matched entry is snapshotted under its shard/entry locks (labels +
+  /// open chunk), then the LSM is read lock-free. The result is a
+  /// consistent point-in-time view per series.
   ///
   /// Implemented as a thin materializer over QueryIterators — there is
   /// exactly one read pipeline (head snapshot → LSM iterators → merged
   /// dedup stream); Query just drains it into vectors and fills
-  /// `out->stats`. Returns InvalidArgument when t0 > t1 or `matchers` is
-  /// empty. Legacy signature: delegates to Query(ReadRequest) with default
-  /// strictness.
-  Status Query(const std::vector<index::TagMatcher>& matchers, int64_t t0,
-               int64_t t1, QueryResult* out);
+  /// `out->stats`. Returns InvalidArgument when t0 > t1, the matchers are
+  /// empty, or the request is an aggregate (step_ms > 0 — those go through
+  /// AggregateQuery). The wire protocol's query handler maps onto this 1:1.
+  Status Query(const query::ReadRequest& request, QueryResult* out);
 
   /// Streaming variant of Query (§3.4): each matching timeseries comes
   /// with a lazy SampleIterator instead of materialized samples. The
   /// iterators stay valid after this call returns (they pin the LSM
   /// resources they read).
-  /// Inherits query::Completeness: under degraded reads
-  /// (DBOptions::strict_reads == false), `complete` is false when this
-  /// iterator skipped unreachable slow-tier tables and the merged, clamped
-  /// spans possibly missing from the stream are in `missing_ranges`.
+  /// Inherits query::Completeness: when the request allows partial reads,
+  /// `complete` is false when this iterator skipped unreachable slow-tier
+  /// tables and the merged, clamped spans possibly missing from the stream
+  /// are in `missing_ranges`.
   struct SeriesIterResult : query::Completeness {
     uint64_t id = 0;
     index::Labels labels;
     std::unique_ptr<SampleIterator> iter;
   };
-  /// ReadRequest form of the streaming query (rejects aggregate requests).
+  /// Rejects aggregate requests and the same bad inputs as Query.
   /// `stats` (nullable) receives pruning/cache counters; the pointed-to
   /// object must outlive every returned iterator — lazy iterators keep
   /// counting while they are drained.
   Status QueryIterators(const query::ReadRequest& request,
-                        std::vector<SeriesIterResult>* out,
-                        query::QueryStats* stats = nullptr);
-
-  /// Legacy signature: delegates to QueryIterators(ReadRequest). Returns
-  /// InvalidArgument when t0 > t1 or `matchers` is empty.
-  Status QueryIterators(const std::vector<index::TagMatcher>& matchers,
-                        int64_t t0, int64_t t1,
                         std::vector<SeriesIterResult>* out,
                         query::QueryStats* stats = nullptr);
 
@@ -411,16 +300,10 @@ class TimeUnionDB {
   /// identical to aggregating the raw samples. Group members always take
   /// the raw path. Returns InvalidArgument for t0 > t1, empty matchers or
   /// step_ms <= 0. Per-path volume lands in out->stats
-  /// (rollup_buckets_served / raw_edge_samples). ReadRequest form: the
-  /// request must carry step_ms > 0 (+ fn); strictness is honored like
-  /// Query's.
+  /// (rollup_buckets_served / raw_edge_samples). The request must carry
+  /// step_ms > 0 (+ fn); strictness is honored like Query's.
   Status AggregateQuery(const query::ReadRequest& request,
                         AggregateResult* out);
-
-  /// Legacy signature: delegates to AggregateQuery(ReadRequest).
-  Status AggregateQuery(const std::vector<index::TagMatcher>& matchers,
-                        int64_t t0, int64_t t1, int64_t step_ms,
-                        query::AggFn fn, AggregateResult* out);
 
   /// Lists all values of a tag name across the index (label-values API).
   /// Serialized against slow-path registration so multi-label inserts are
@@ -475,23 +358,16 @@ class TimeUnionDB {
   /// (ingest/flush/compaction/query latency histograms, event trace) plus
   /// the external counters folded in under stable names — tier I/O
   /// (fast.* / slow.*), LSM stats (lsm.*), block cache (cache.*), breaker
-  /// and admission state, and the read-pipeline totals (query.*). Safe
-  /// from any thread; serialize with ToJson() or ToPrometheusText().
+  /// and admission state, scrub and read-integrity counts, server gauges,
+  /// background-error state (error_handler.*, db.health) and the
+  /// read-pipeline totals (query.*). This is the one introspection
+  /// surface: read it with CounterOr0 / GaugeOr0 / FindString, or print it
+  /// with ToJson() / ToPrometheusText(). Safe from any thread.
   obs::MetricsSnapshot Metrics() const;
   /// The instrument registry (stable pointers, lock-free recording).
   obs::MetricsRegistry& metrics_registry() { return *metrics_; }
   /// The background-error state machine (tests/operator tooling).
   ErrorHandler& error_handler() { return error_handler_; }
-  /// Degraded-operation snapshot: breaker state, deferred-upload backlog,
-  /// fast-tier pressure, admission outcomes, block cache counters, sticky
-  /// background error. A typed view over the same data as Metrics(); safe
-  /// from any thread.
-  core::HealthReport HealthReport() const;
-  /// Human-readable counters: tiered-env I/O + breaker state, block cache
-  /// hit/miss/eviction/usage, and read-pipeline totals aggregated across
-  /// every Query/QueryIterators since Open. A thin formatter over the
-  /// Metrics() snapshot. Safe from any thread.
-  std::string CountersReport() const;
   /// Index memory (trie + postings), §3.2 accounting. The index is
   /// internally synchronized; safe from any thread.
   uint64_t IndexMemoryUsage() const;
@@ -597,15 +473,6 @@ class TimeUnionDB {
   /// Folds one row failure into `result`.
   static void RowReject(WriteResult* result, const Status& s);
 
-  /// Single-row scratch batches for the legacy Insert* shims: cleared and
-  /// refilled per call, so the shims stay allocation-free in steady state
-  /// (Clear keeps vector capacity).
-  struct ShimScratch {
-    WriteBatch batch;
-    WriteResult result;
-  };
-  static ShimScratch& TlsShimScratch();
-
   /// Flush a closed series chunk payload into the LSM + WAL mark. Caller
   /// holds the entry's append lock.
   Status FlushSeriesChunk(mem::SeriesHead* head, bool* flushed);
@@ -627,11 +494,8 @@ class TimeUnionDB {
                             int64_t t0, int64_t t1, bool allow_partial,
                             std::vector<SeriesIterResult>* out,
                             query::QueryStats* stats);
-  /// Resolves a per-request strictness override against
-  /// DBOptions::strict_reads.
-  bool AllowPartialReads(query::ReadRequest::Strictness s) const;
   /// Folds one finished query's stats into the DB-lifetime totals
-  /// surfaced by CountersReport().
+  /// surfaced by Metrics() under query.*.
   void AddQueryTotals(const query::QueryStats& stats);
 
   /// Write-path backpressure (DBOptions::AdmissionControl): checks the
@@ -694,13 +558,13 @@ class TimeUnionDB {
 
   /// Admission-control state: a write counter that paces gauge refreshes,
   /// the last observed pressure level (0 healthy / 1 soft / 2 hard), and
-  /// the outcome counters surfaced by HealthReport().
+  /// the outcome counters surfaced by Metrics() under admission.*.
   std::atomic<uint64_t> admission_ops_{0};
   std::atomic<int> admission_level_{0};
   std::atomic<uint64_t> writers_delayed_{0};
   std::atomic<uint64_t> writes_rejected_{0};
 
-  /// DB-lifetime read-pipeline totals (CountersReport). A plain mutex is
+  /// DB-lifetime read-pipeline totals (Metrics() query.*). A plain mutex is
   /// fine: queries fold their stats in once, at the end.
   mutable std::mutex query_totals_mu_;
   query::QueryStats query_totals_;  // guarded by query_totals_mu_

@@ -2,9 +2,8 @@
 // front door decodes whole remote-write frames into a WriteBatch and hands
 // it to TimeUnionDB::Write, which amortizes the per-write overheads —
 // admission check, WAL mutex, shard/stripe lock acquisition — across the
-// batch instead of paying them per sample. The four legacy insert calls
-// (Insert / InsertFast / InsertGroup / InsertGroupFast) are thin shims
-// that wrap one row in a batch, so there is exactly one write pipeline.
+// batch instead of paying them per sample. It is the only write entry:
+// a one-row batch is how a caller writes a single sample.
 //
 // Rows come in four sections, columnar where it matters:
 //   - ref samples: parallel (ref, ts, value) columns — the fast path.

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,7 +23,8 @@ namespace tu::query {
 /// Per-query read-path counters. Filled at every pruning level — partition,
 /// table (min/max meta + bloom) and block — plus the cache and decode
 /// stages; `Add` aggregates per-series stats into the per-query total and
-/// per-query totals into the DB-lifetime total behind CountersReport().
+/// per-query totals into the DB-lifetime totals that Metrics() reports
+/// under query.*.
 ///
 /// Lifetime: the pipeline holds a raw pointer to the accumulator, and lazy
 /// iterators keep counting while they are drained — the QueryStats object
@@ -93,8 +93,6 @@ struct QueryStats {
   uint64_t tables_pruned() const {
     return tables_pruned_id + tables_pruned_time + tables_pruned_bloom;
   }
-
-  std::string ToString() const;
 };
 
 /// The completeness contract of a degraded read, shared by every result

@@ -1,10 +1,8 @@
 // ReadRequest: the one read-side request shape of the public API. The
-// three historical query entry points (Query, QueryIterators,
-// AggregateQuery) took diverging parameter lists; ReadRequest consolidates
-// them — matchers, inclusive time range, strictness override, and an
-// optional aggregate shape (step + fn) — so the wire protocol's query
-// handlers map onto the DB 1:1 and new read-side knobs have exactly one
-// place to land. The legacy signatures survive as delegating shims.
+// three query entry points (Query, QueryIterators, AggregateQuery) all take
+// it — matchers, inclusive time range, strictness, and an optional
+// aggregate shape (step + fn) — so the wire protocol's query handlers map
+// onto the DB 1:1 and new read-side knobs have exactly one place to land.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +20,14 @@ struct ReadRequest {
   int64_t t0 = INT64_MIN;
   int64_t t1 = INT64_MAX;
 
-  /// Degraded-read behaviour for this request. kDefault follows
-  /// DBOptions::strict_reads; the explicit values override it per request
-  /// (a dashboard tolerates partial data, a billing export does not).
+  /// Degraded-read behaviour for this request (a dashboard tolerates
+  /// partial data, a billing export does not). The values are the wire
+  /// protocol's strictness byte.
   enum class Strictness {
-    kDefault,
-    kStrict,        ///< first unreachable table fails the read
-    kAllowPartial,  ///< skip unreachable tables, report missing_ranges
+    kAllowPartial = 0,  ///< skip unreachable tables, report missing_ranges
+    kStrict = 1,        ///< first unreachable table fails the read
   };
-  Strictness strictness = Strictness::kDefault;
+  Strictness strictness = Strictness::kAllowPartial;
 
   /// Aggregate shape: step_ms > 0 selects the aggregate path (AggregateQuery
   /// semantics — fn folded into step-aligned windows, rollup-served where
@@ -39,6 +36,7 @@ struct ReadRequest {
   AggFn fn = AggFn::kMean;
 
   bool IsAggregate() const { return step_ms > 0; }
+  bool AllowsPartial() const { return strictness != Strictness::kStrict; }
 
   static ReadRequest Range(std::vector<index::TagMatcher> matchers, int64_t t0,
                            int64_t t1) {

@@ -567,7 +567,7 @@ Status Server::HandleQueryReqBody(const std::string& body,
       return finish();
     }
   }
-  if (req.strictness > 2) {
+  if (req.strictness > 1) {
     reject(Status::InvalidArgument("bad strictness"), tenant);
     return finish();
   }

@@ -26,6 +26,7 @@
 #include "query/sample_batch.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_all.h"
 
 namespace tu {
 namespace {
@@ -35,7 +36,10 @@ using cloud::FaultRule;
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteBatch;
+using core::WriteResult;
 using index::TagMatcher;
+using query::ReadRequest;
 
 uint64_t Bits(double v) {
   uint64_t b;
@@ -120,39 +124,42 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
   constexpr int kRounds = 900;
   constexpr int64_t kStepMs = 250;
 
-  uint64_t refs[kSeries] = {0, 0};
   Model models[kSeries];
+  WriteBatch batch;
   for (int s = 0; s < kSeries; ++s) {
-    ASSERT_TRUE(
-        db->Insert({{"m", "s" + std::to_string(s)}}, 0, 0.5 * s, &refs[s])
-            .ok());
+    batch.AddSample(index::Labels{{"m", "s" + std::to_string(s)}}, 0, 0.5 * s);
     models[s][0] = 0.5 * s;
   }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"g", "1"}}, {{{"mem", "a"}}, {{"mem", "b"}}},
-                              0, {1.0, 2.0}, &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(index::Labels{{"g", "1"}}, {{{"mem", "a"}}, {{"mem", "b"}}},
+                    0, {1.0, 2.0});
+  WriteResult registered;
+  ASSERT_TRUE(WriteAll(db.get(), batch, &registered).ok());
+  const std::vector<uint64_t> refs = registered.resolved_refs;
+  const uint64_t gref = registered.resolved_groups[0].group_ref;
+  const std::vector<uint32_t> slots = registered.resolved_groups[0].slots;
   Model gmodels[2];
   gmodels[0][0] = 1.0;
   gmodels[1][0] = 2.0;
 
   for (int i = 1; i < kRounds; ++i) {
+    batch.Clear();
     for (int s = 0; s < kSeries; ++s) {
       int64_t ts = i * kStepMs;
       // 1-in-6 writes rewrite an existing timestamp: the dedup overlap the
       // suite exists to pin (head-vs-chunk and chunk-vs-chunk).
       if (rng.OneIn(6)) ts = rng.Uniform(i) * kStepMs;
       const double v = rng.NextDouble();
-      ASSERT_TRUE(db->InsertFast(refs[s], ts, v).ok());
+      batch.AddSample(refs[s], ts, v);
       models[s][ts] = v;
     }
+    ASSERT_TRUE(WriteAll(db.get(), batch).ok());
     const double ga = rng.NextDouble();
     const double gb = rng.NextDouble();
     int64_t gts = i * kStepMs;
     if (rng.OneIn(10)) gts = rng.Uniform(i) * kStepMs;
-    Status gs = db->InsertGroupFast(gref, slots, gts, {ga, gb});
-    if (gs.ok()) {
+    batch.Clear();
+    batch.AddGroupRow(gref, slots, gts, {ga, gb});
+    if (WriteAll(db.get(), batch).ok()) {
       gmodels[0][gts] = ga;
       gmodels[1][gts] = gb;
     }
@@ -176,7 +183,8 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
       const auto want = Expected(models[s], t0, t1);
 
       QueryResult materialized;
-      ASSERT_TRUE(db->Query({matcher}, t0, t1, &materialized).ok());
+      ASSERT_TRUE(
+          db->Query(ReadRequest::Range({matcher}, t0, t1), &materialized).ok());
       if (want.empty()) {
         EXPECT_EQ(materialized.size(), 0u);
       } else {
@@ -188,7 +196,8 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
 
       // Pure batch drain through the public iterator API.
       std::vector<TimeUnionDB::SeriesIterResult> iters;
-      ASSERT_TRUE(db->QueryIterators({matcher}, t0, t1, &iters).ok());
+      ASSERT_TRUE(db->QueryIterators(ReadRequest::Range({matcher}, t0, t1),
+                                     &iters).ok());
       ASSERT_EQ(iters.size(), 1u);
       const auto got = DrainBatches(iters[0].iter.get());
       ASSERT_TRUE(iters[0].iter->status().ok());
@@ -198,7 +207,8 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
       if (!want.empty()) {
         const size_t k = rng.Uniform(static_cast<uint32_t>(want.size()));
         std::vector<TimeUnionDB::SeriesIterResult> mixed;
-        ASSERT_TRUE(db->QueryIterators({matcher}, t0, t1, &mixed).ok());
+        ASSERT_TRUE(db->QueryIterators(ReadRequest::Range({matcher}, t0, t1),
+                                       &mixed).ok());
         ASSERT_EQ(mixed.size(), 1u);
         auto* it = mixed[0].iter.get();
         std::vector<compress::Sample> combined;
@@ -218,9 +228,9 @@ TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
     for (int g = 0; g < 2; ++g) {
       const auto want = Expected(gmodels[g], t0, t1);
       std::vector<TimeUnionDB::SeriesIterResult> iters;
+      const auto member = TagMatcher::Equal("mem", mems[g]);
       ASSERT_TRUE(
-          db->QueryIterators({TagMatcher::Equal("mem", mems[g])}, t0, t1,
-                             &iters)
+          db->QueryIterators(ReadRequest::Range({member}, t0, t1), &iters)
               .ok());
       ASSERT_EQ(iters.size(), 1u);
       // Group rewrites are checked bitwise like series: compaction
@@ -257,33 +267,41 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   constexpr int64_t kStepMs = 250;
   Random rng(99);
 
-  uint64_t ref = 0;
   Model model;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 0.0);
   model[0] = 0.0;
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"g", "1"}}, {{{"mem", "a"}}, {{"mem", "b"}}},
-                              0, {1.0, 2.0}, &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(index::Labels{{"g", "1"}}, {{{"mem", "a"}}, {{"mem", "b"}}},
+                    0, {1.0, 2.0});
+  WriteResult registered;
+  ASSERT_TRUE(WriteAll(db.get(), batch, &registered).ok());
+  const uint64_t ref = registered.resolved_refs[0];
+  const uint64_t gref = registered.resolved_groups[0].group_ref;
+  const std::vector<uint32_t> slots = registered.resolved_groups[0].slots;
   Model gmodels[2];
   gmodels[0][0] = 1.0;
   gmodels[1][0] = 2.0;
 
   // Phase 1: fill many small partitions, flushing periodically so the
   // early windows are compacted (L0 trigger is 1 table) before any
-  // rewrite arrives.
+  // rewrite arrives. Each flush interval is one batch.
+  batch.Clear();
   for (int i = 1; i < kRounds; ++i) {
     const int64_t ts = i * kStepMs;
     const double v = rng.NextDouble();
-    ASSERT_TRUE(db->InsertFast(ref, ts, v).ok());
+    batch.AddSample(ref, ts, v);
     model[ts] = v;
     const double ga = rng.NextDouble(), gb = rng.NextDouble();
-    ASSERT_TRUE(db->InsertGroupFast(gref, slots, ts, {ga, gb}).ok());
+    batch.AddGroupRow(gref, slots, ts, {ga, gb});
     gmodels[0][ts] = ga;
     gmodels[1][ts] = gb;
-    if (i % 200 == 0) ASSERT_TRUE(db->Flush().ok());
+    if (i % 200 == 0) {
+      ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+      batch.Clear();
+      ASSERT_TRUE(db->Flush().ok());
+    }
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   const obs::MetricsSnapshot before = db->Metrics();
   ASSERT_GT(before.CounterOr0("lsm.compactions_l0_l1"), 0u)
@@ -292,28 +310,36 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   // Phase 2: single-row rewrites into the compacted windows, one per
   // region of the keyspace. Each misses every open chunk and goes down
   // the single-row-chunk path.
+  batch.Clear();
   for (const int64_t ts : {17 * kStepMs, 203 * kStepMs, 450 * kStepMs,
                            799 * kStepMs, 1024 * kStepMs}) {
     const double v = -1000.0 - static_cast<double>(ts);
-    ASSERT_TRUE(db->InsertFast(ref, ts, v).ok());
+    batch.AddSample(ref, ts, v);
     model[ts] = v;
     const double ga = -2000.0 - static_cast<double>(ts);
     const double gb = -3000.0 - static_cast<double>(ts);
-    ASSERT_TRUE(db->InsertGroupFast(gref, slots, ts, {ga, gb}).ok());
+    batch.AddGroupRow(gref, slots, ts, {ga, gb});
     gmodels[0][ts] = ga;
     gmodels[1][ts] = gb;
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
 
   // Phase 3: more appends + flushes so the rewritten partitions compact
   // again with the rewrite chunks in play.
+  batch.Clear();
   for (int i = kRounds; i < kRounds + 600; ++i) {
     const int64_t ts = i * kStepMs;
     const double v = rng.NextDouble();
-    ASSERT_TRUE(db->InsertFast(ref, ts, v).ok());
+    batch.AddSample(ref, ts, v);
     model[ts] = v;
-    if (i % 150 == 0) ASSERT_TRUE(db->Flush().ok());
+    if (i % 150 == 0) {
+      ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+      batch.Clear();
+      ASSERT_TRUE(db->Flush().ok());
+    }
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   EXPECT_GT(db->Metrics().CounterOr0("lsm.compactions_l0_l1"),
             before.CounterOr0("lsm.compactions_l0_l1"))
@@ -322,17 +348,18 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
   // The rewrites must win bitwise everywhere — materialized and batched.
   const int64_t span = (kRounds + 600) * kStepMs;
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, span, &result)
-                  .ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                           span), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ExpectSamplesEqual(result[0].samples, Expected(model, 0, span), "series");
 
   const char* mems[] = {"a", "b"};
   for (int g = 0; g < 2; ++g) {
     std::vector<TimeUnionDB::SeriesIterResult> iters;
-    ASSERT_TRUE(db->QueryIterators({TagMatcher::Equal("mem", mems[g])}, 0,
-                                   span, &iters)
-                    .ok());
+    const auto member = TagMatcher::Equal("mem", mems[g]);
+    ASSERT_TRUE(
+        db->QueryIterators(ReadRequest::Range({member}, 0, span), &iters)
+            .ok());
     ASSERT_EQ(iters.size(), 1u);
     const auto got = DrainBatches(iters[0].iter.get());
     ASSERT_TRUE(iters[0].iter->status().ok());
@@ -363,11 +390,11 @@ TEST(BatchDrainPartialReadTest, BreakerOpenBatchesMatchMaterialized) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   constexpr int kTotal = 2000;
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) {
+    batch.AddSample(index::Labels{{"m", "cpu"}}, i * 250LL, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
@@ -384,17 +411,17 @@ TEST(BatchDrainPartialReadTest, BreakerOpenBatchesMatchMaterialized) {
   ASSERT_EQ(slow.breaker().state(), cloud::BreakerState::kOpen);
 
   QueryResult materialized;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL,
-                        &materialized)
-                  .ok());
+  ASSERT_TRUE(
+      db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                   kTotal * 250LL), &materialized).ok());
   EXPECT_FALSE(materialized.complete);
   ASSERT_FALSE(materialized.missing_ranges.empty());
   ASSERT_EQ(materialized.size(), 1u);
 
   std::vector<TimeUnionDB::SeriesIterResult> iters;
-  ASSERT_TRUE(db->QueryIterators({TagMatcher::Equal("m", "cpu")}, 0,
-                                 kTotal * 250LL, &iters)
-                  .ok());
+  ASSERT_TRUE(db->QueryIterators(
+                  ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                     kTotal * 250LL), &iters).ok());
   ASSERT_EQ(iters.size(), 1u);
   EXPECT_FALSE(iters[0].complete);
   EXPECT_EQ(iters[0].missing_ranges, materialized.missing_ranges);
@@ -422,20 +449,20 @@ TEST(BatchDrainUpperBoundTest, MidDataWindowPrunesAndStaysExact) {
 
   constexpr int kTotal = 20000;
   uint64_t ref = 0;
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
   Model model;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  model[0] = 0.0;
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 0.25 * i).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) {
+    batch.AddSample(ref, i * 250LL, 0.25 * i);
     model[i * 250LL] = 0.25 * i;
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
 
   // Reference: the full window touches every block and decodes everything.
   QueryResult full;
-  ASSERT_TRUE(
-      db->Query({TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL, &full)
-          .ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                           kTotal * 250LL), &full).ok());
   ASSERT_EQ(full.size(), 1u);
   ExpectSamplesEqual(full[0].samples, Expected(model, 0, kTotal * 250LL),
                      "full");
@@ -446,7 +473,8 @@ TEST(BatchDrainUpperBoundTest, MidDataWindowPrunesAndStaysExact) {
   // decoded, with the batch results still exact at the clip.
   const int64_t t1 = kTotal / 10 * 250LL;
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, t1, &result).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                           t1), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ExpectSamplesEqual(result[0].samples, Expected(model, 0, t1), "bounded");
   EXPECT_LT(result.stats.blocks_read, full.stats.blocks_read / 2);

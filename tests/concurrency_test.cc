@@ -13,9 +13,13 @@
 #include "lsm/key_format.h"
 #include "lsm/time_lsm.h"
 #include "util/mmap_file.h"
+#include "write_all.h"
 
 namespace tu {
 namespace {
+
+using core::WriteBatch;
+using query::ReadRequest;
 
 constexpr int64_t kMin = 60 * 1000;
 
@@ -116,12 +120,12 @@ TEST(ConcurrencyTest, ParallelInsertersThroughDb) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
         for (int s = 0; s < kSeriesPerThread; ++s) {
-          if (!db->InsertFast(refs[t * kSeriesPerThread + s], i * kMin, t)
-                   .ok()) {
-            ++errors;
-          }
+          batch.Clear();
+          batch.AddSample(refs[t * kSeriesPerThread + s], i * kMin, t);
+          if (!WriteAll(db.get(), batch).ok()) ++errors;
         }
       }
     });
@@ -132,9 +136,9 @@ TEST(ConcurrencyTest, ParallelInsertersThroughDb) {
 
   for (size_t i = 0; i < refs.size(); ++i) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("t", std::to_string(i))},
-                          0, kSamples * kMin, &result)
-                    .ok());
+    const ReadRequest request = ReadRequest::Range(
+        {index::TagMatcher::Equal("t", std::to_string(i))}, 0, kSamples * kMin);
+    ASSERT_TRUE(db->Query(request, &result).ok());
     ASSERT_EQ(result.size(), 1u) << i;
     EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(kSamples)) << i;
   }
@@ -177,12 +181,12 @@ TEST(ConcurrencyTest, MultiWriterDisjointSeriesLosesNothing) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
         for (int s = 0; s < kSeriesPerThread; ++s) {
-          if (!db->InsertFast(refs[t * kSeriesPerThread + s], i * kMin, t)
-                   .ok()) {
-            ++errors;
-          }
+          batch.Clear();
+          batch.AddSample(refs[t * kSeriesPerThread + s], i * kMin, t);
+          if (!WriteAll(db.get(), batch).ok()) ++errors;
         }
       }
     });
@@ -194,9 +198,9 @@ TEST(ConcurrencyTest, MultiWriterDisjointSeriesLosesNothing) {
   EXPECT_EQ(db->NumSeries(), refs.size());
   for (size_t i = 0; i < refs.size(); ++i) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("d", std::to_string(i))},
-                          0, kSamples * kMin, &result)
-                    .ok());
+    const ReadRequest request = ReadRequest::Range(
+        {index::TagMatcher::Equal("d", std::to_string(i))}, 0, kSamples * kMin);
+    ASSERT_TRUE(db->Query(request, &result).ok());
     ExpectCompleteSeries(result, kSamples);
   }
   RemoveDirRecursive(opts.workspace);
@@ -225,9 +229,12 @@ TEST(ConcurrencyTest, MultiWriterSharedSeriesLosesNothing) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      WriteBatch batch;
       for (int i = 0; i < kSamplesPerThread; ++i) {
         const int64_t ts = (static_cast<int64_t>(i) * kThreads + t) * kMin;
-        if (!db->InsertFast(ref, ts, 1.0).ok()) ++errors;
+        batch.Clear();
+        batch.AddSample(ref, ts, 1.0);
+        if (!WriteAll(db.get(), batch).ok()) ++errors;
       }
     });
   }
@@ -237,9 +244,9 @@ TEST(ConcurrencyTest, MultiWriterSharedSeriesLosesNothing) {
 
   core::QueryResult result;
   const int total = kThreads * kSamplesPerThread;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("m", "shared")}, 0,
-                        static_cast<int64_t>(total) * kMin, &result)
-                  .ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range(
+                            {index::TagMatcher::Equal("m", "shared")}, 0,
+                            static_cast<int64_t>(total) * kMin), &result).ok());
   ExpectCompleteSeries(result, total);
   RemoveDirRecursive(opts.workspace);
 }
@@ -263,8 +270,10 @@ TEST(ConcurrencyTest, QueriesDuringSlowPathRegistration) {
   std::thread reader([&] {
     while (!stop.load()) {
       core::QueryResult result;
-      if (!db->Query({index::TagMatcher::Equal("job", "ingest")}, 0,
-                     1'000'000, &result)
+      if (!db->Query(ReadRequest::Range(
+                         {index::TagMatcher::Equal("job", "ingest")}, 0,
+                         1'000'000),
+                     &result)
                .ok()) {
         ++errors;
       }
@@ -279,13 +288,13 @@ TEST(ConcurrencyTest, QueriesDuringSlowPathRegistration) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; ++t) {
     writers.emplace_back([&, t] {
+      WriteBatch batch;
       for (int i = 0; i < kSeriesPerWriter; ++i) {
-        uint64_t ref = 0;
         const std::string name = std::to_string(t) + "_" + std::to_string(i);
-        if (!db->Insert({{"job", "ingest"}, {"s", name}}, 60'000, 1.0, &ref)
-                 .ok()) {
-          ++errors;
-        }
+        batch.Clear();
+        batch.AddSample(index::Labels{{"job", "ingest"}, {"s", name}}, 60'000,
+                        1.0);
+        if (!WriteAll(db.get(), batch).ok()) ++errors;
       }
     });
   }
@@ -334,9 +343,12 @@ TEST(ConcurrencyTest, ConcurrentFlushAndRetentionTicks) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       // Thread t writes series where s % kThreads == t (disjoint).
+      WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
         for (int s = t; s < kSeries; s += kThreads) {
-          if (!db->InsertFast(refs[s], i * kMin, t).ok()) ++errors;
+          batch.Clear();
+          batch.AddSample(refs[s], i * kMin, t);
+          if (!WriteAll(db.get(), batch).ok()) ++errors;
         }
       }
     });
@@ -350,9 +362,9 @@ TEST(ConcurrencyTest, ConcurrentFlushAndRetentionTicks) {
   EXPECT_EQ(db->NumSeries(), static_cast<uint64_t>(kSeries));
   for (int i = 0; i < kSeries; ++i) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("f", std::to_string(i))},
-                          0, kSamples * kMin, &result)
-                    .ok());
+    const ReadRequest request = ReadRequest::Range(
+        {index::TagMatcher::Equal("f", std::to_string(i))}, 0, kSamples * kMin);
+    ASSERT_TRUE(db->Query(request, &result).ok());
     ExpectCompleteSeries(result, kSamples);
   }
   RemoveDirRecursive(opts.workspace);
@@ -380,12 +392,12 @@ TEST(ConcurrencyTest, MultiWriterWithWalSurvivesReopen) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
         for (int s = 0; s < kSeriesPerThread; ++s) {
-          if (!db->InsertFast(refs[t * kSeriesPerThread + s], i * kMin, t)
-                   .ok()) {
-            ++errors;
-          }
+          batch.Clear();
+          batch.AddSample(refs[t * kSeriesPerThread + s], i * kMin, t);
+          if (!WriteAll(db.get(), batch).ok()) ++errors;
         }
       }
     });
@@ -401,9 +413,9 @@ TEST(ConcurrencyTest, MultiWriterWithWalSurvivesReopen) {
   EXPECT_TRUE(db->recovery_report().wal.Clean());
   for (size_t i = 0; i < refs.size(); ++i) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("w", std::to_string(i))},
-                          0, kSamples * kMin, &result)
-                    .ok());
+    const ReadRequest request = ReadRequest::Range(
+        {index::TagMatcher::Equal("w", std::to_string(i))}, 0, kSamples * kMin);
+    ASSERT_TRUE(db->Query(request, &result).ok());
     ExpectCompleteSeries(result, kSamples);
   }
   db.reset();
@@ -422,8 +434,7 @@ TEST(ConcurrencyTest, MultiWriterGroupFastPath) {
   const int kThreads = 4;
   const int kMembers = 3;
   const int kRows = 300;
-  std::vector<uint64_t> group_refs(kThreads);
-  std::vector<std::vector<uint32_t>> slots(kThreads);
+  WriteBatch registration;
   for (int t = 0; t < kThreads; ++t) {
     std::vector<index::Labels> members;
     std::vector<double> row;
@@ -431,20 +442,22 @@ TEST(ConcurrencyTest, MultiWriterGroupFastPath) {
       members.push_back({{"core", std::to_string(m)}});
       row.push_back(m);
     }
-    ASSERT_TRUE(db->InsertGroup({{"host", std::to_string(t)}}, members, 0,
-                                row, &group_refs[t], &slots[t])
-                    .ok());
+    registration.AddGroupRow(index::Labels{{"host", std::to_string(t)}},
+                             members, 0, row);
   }
+  core::WriteResult registered;
+  ASSERT_TRUE(WriteAll(db.get(), registration, &registered).ok());
+  const auto& groups = registered.resolved_groups;
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<double> row(kMembers, t);
+      const std::vector<double> row(kMembers, t);
+      WriteBatch batch;
       for (int i = 1; i <= kRows; ++i) {
-        if (!db->InsertGroupFast(group_refs[t], slots[t], i * kMin, row)
-                 .ok()) {
-          ++errors;
-        }
+        batch.Clear();
+        batch.AddGroupRow(groups[t].group_ref, groups[t].slots, i * kMin, row);
+        if (!WriteAll(db.get(), batch).ok()) ++errors;
       }
     });
   }
@@ -454,10 +467,10 @@ TEST(ConcurrencyTest, MultiWriterGroupFastPath) {
 
   for (int t = 0; t < kThreads; ++t) {
     core::QueryResult result;
-    ASSERT_TRUE(
-        db->Query({index::TagMatcher::Equal("host", std::to_string(t))}, 0,
-                  (kRows + 1) * kMin, &result)
-            .ok());
+    const ReadRequest request = ReadRequest::Range(
+        {index::TagMatcher::Equal("host", std::to_string(t))}, 0,
+        (kRows + 1) * kMin);
+    ASSERT_TRUE(db->Query(request, &result).ok());
     ASSERT_EQ(result.size(), static_cast<size_t>(kMembers));
     for (const auto& series : result) {
       EXPECT_EQ(series.samples.size(), static_cast<size_t>(kRows + 1));
@@ -503,8 +516,11 @@ TEST(ConcurrencyTest, FaultCountersConsistentUnderConcurrentWriters) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      WriteBatch batch;
       for (int i = 0; i < kSamples; ++i) {
-        if (!db->InsertFast(refs[t], i * 250LL, 1.0 * i).ok()) ++errors;
+        batch.Clear();
+        batch.AddSample(refs[t], i * 250LL, 1.0 * i);
+        if (!WriteAll(db.get(), batch).ok()) ++errors;
       }
     });
   }
@@ -544,18 +560,19 @@ TEST(ConcurrencyTest, FaultCountersConsistentUnderConcurrentWriters) {
   EXPECT_EQ(stats.deferred_tables_created.load(),
             stats.deferred_uploads_drained.load());
 
-  // Admission control is off: the health report must show no outcomes.
-  core::HealthReport health = db->HealthReport();
-  EXPECT_EQ(health.writers_delayed, 0u);
-  EXPECT_EQ(health.writes_rejected, 0u);
-  EXPECT_TRUE(health.last_background_error.ok());
+  // Admission control is off: the snapshot must show no outcomes.
+  const obs::MetricsSnapshot health = db->Metrics();
+  EXPECT_EQ(health.CounterOr0("admission.writers_delayed"), 0u);
+  EXPECT_EQ(health.CounterOr0("admission.writes_rejected"), 0u);
+  EXPECT_TRUE(db->time_lsm()->last_background_error().ok());
 
   // With the backlog drained every write is durable and fully readable.
   for (int t = 0; t < kThreads; ++t) {
     core::QueryResult result;
-    ASSERT_TRUE(db->Query({index::TagMatcher::Equal("w", std::to_string(t))},
-                          0, kSamples * 250LL, &result)
-                    .ok());
+    const ReadRequest request = ReadRequest::Range(
+        {index::TagMatcher::Equal("w", std::to_string(t))}, 0,
+        kSamples * 250LL);
+    ASSERT_TRUE(db->Query(request, &result).ok());
     EXPECT_TRUE(result.complete);
     ASSERT_EQ(result.size(), 1u) << t;
     ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(kSamples)) << t;

@@ -11,12 +11,14 @@
 #include "core/timeunion_db.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_all.h"
 
 namespace tu::core {
 namespace {
 
 using index::Labels;
 using index::TagMatcher;
+using query::ReadRequest;
 
 constexpr int64_t kMin = 60 * 1000;
 
@@ -53,7 +55,8 @@ class DifferentialTest : public ::testing::TestWithParam<int> {
         matchers.push_back(TagMatcher::Equal(l.name, l.value));
       }
       QueryResult result;
-      ASSERT_TRUE(db->Query(matchers, 0, t1, &result).ok()) << key;
+      ASSERT_TRUE(db->Query(ReadRequest::Range(matchers, 0, t1), &result).ok())
+          << key;
       ASSERT_EQ(result.size(), 1u) << key;
       std::map<int64_t, double> got;
       for (const auto& s : result[0].samples) got[s.timestamp] = s.value;
@@ -61,7 +64,8 @@ class DifferentialTest : public ::testing::TestWithParam<int> {
 
       // Streaming path must agree with the materialized path.
       std::vector<TimeUnionDB::SeriesIterResult> streaming;
-      ASSERT_TRUE(db->QueryIterators(matchers, 0, t1, &streaming).ok());
+      ASSERT_TRUE(db->QueryIterators(ReadRequest::Range(matchers, 0, t1),
+                                     &streaming).ok());
       ASSERT_EQ(streaming.size(), 1u) << key;
       std::map<int64_t, double> drained;
       auto* it = streaming[0].iter.get();
@@ -88,6 +92,8 @@ TEST_P(DifferentialTest, MixedSeriesWorkload) {
 
   Reference ref;
   std::map<std::string, uint64_t> refs;
+  WriteBatch batch;
+  WriteResult result;
   int64_t clock = 0;
 
   for (int op = 0; op < 4000; ++op) {
@@ -110,13 +116,17 @@ TEST_P(DifferentialTest, MixedSeriesWorkload) {
     }
     const double v = rng.NextGaussian(100, 20);
 
+    // One row per Write: slow- and fast-path rows of one series must land
+    // in op order (a batch applies its ref rows before its labeled rows).
     auto it = refs.find(key);
+    batch.Clear();
     if (it == refs.end() || rng.OneIn(20)) {
-      uint64_t r = 0;
-      ASSERT_TRUE(db->Insert(labels, ts, v, &r).ok());
-      refs[key] = r;
+      batch.AddSample(labels, ts, v);
+      ASSERT_TRUE(WriteAll(db.get(), batch, &result).ok());
+      refs[key] = result.resolved_refs[0];
     } else {
-      ASSERT_TRUE(db->InsertFast(it->second, ts, v).ok());
+      batch.AddSample(it->second, ts, v);
+      ASSERT_TRUE(WriteAll(db.get(), batch).ok());
     }
     ref.Write(labels, ts, v);
 
@@ -144,9 +154,8 @@ TEST_P(DifferentialTest, MixedGroupWorkload) {
   const int kGroups = 2;
   const int kMaxMembers = 5;
   Reference ref;
-  std::vector<uint64_t> grefs(kGroups, 0);
-  std::vector<std::vector<uint32_t>> slots(kGroups);
   std::vector<int> member_count(kGroups, 2);
+  WriteBatch batch;
   int64_t clock = 0;
 
   auto group_tags = [](int g) {
@@ -187,15 +196,18 @@ TEST_P(DifferentialTest, MixedGroupWorkload) {
       ts = static_cast<int64_t>(rng.Uniform(clock / kMin + 1)) * kMin;
     }
 
-    std::vector<uint32_t> row_slots;
-    ASSERT_TRUE(db->InsertGroup(group_tags(g), present_tags, ts, values,
-                                &grefs[g], &row_slots)
-                    .ok());
     for (size_t i = 0; i < present.size(); ++i) {
       ref.Write(full_labels(g, present[i]), ts, values[i]);
     }
-    if (rng.OneIn(400)) ASSERT_TRUE(db->Flush().ok());
+    batch.AddGroupRow(group_tags(g), std::move(present_tags), ts,
+                      std::move(values));
+    if (rng.OneIn(400)) {
+      ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+      batch.Clear();
+      ASSERT_TRUE(db->Flush().ok());
+    }
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   VerifyAll(db.get(), ref, clock + kMin);
 }

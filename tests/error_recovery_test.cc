@@ -32,6 +32,7 @@
 #include "core/timeunion_db.h"
 #include "core/wal.h"
 #include "util/mmap_file.h"
+#include "write_all.h"
 
 namespace tu {
 namespace {
@@ -44,6 +45,8 @@ using core::BgErrorScope;
 using core::DbHealth;
 using core::ErrorHandler;
 using core::ErrorHandlerOptions;
+using core::WriteBatch;
+using query::ReadRequest;
 
 // -- ErrorHandler state machine ----------------------------------------------
 
@@ -264,32 +267,38 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0, control_ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  ASSERT_TRUE(control->Insert({{"metric", "cpu"}}, 0, 0.0, &control_ref).ok());
-  int acked = 1;  // samples [0, acked) are in both DBs
+  ASSERT_TRUE(db->RegisterSeries({{"metric", "cpu"}}, &ref).ok());
+  ASSERT_TRUE(control->RegisterSeries({{"metric", "cpu"}}, &control_ref).ok());
+  int acked = 0;  // samples [0, acked) are in both DBs
 
   // Phase 1 (healthy): several memtables' worth reaches the fast tier.
+  WriteBatch batch, control_batch;
   for (; acked < 400; ++acked) {
-    ASSERT_TRUE(db->InsertFast(ref, acked * kStepMs, 1.0 * acked).ok());
-    ASSERT_TRUE(
-        control->InsertFast(control_ref, acked * kStepMs, 1.0 * acked).ok());
+    batch.AddSample(ref, acked * kStepMs, 1.0 * acked);
+    control_batch.AddSample(control_ref, acked * kStepMs, 1.0 * acked);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+  ASSERT_TRUE(WriteAll(control.get(), control_batch).ok());
 
   // Phase 2: the fast tier's disk fills. Background flushes start failing;
   // the error handler must quiesce appends (fail-fast, no pile-up).
   fi->AddRule(FaultRule::NoSpace(FaultOp::kAppend | FaultOp::kSync, "lsm/"));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  // One row per Write, so the first refused row marks the quiesce point.
   Status quiesced;
   while (quiesced.ok() && acked < 100'000 &&
          std::chrono::steady_clock::now() < deadline) {
-    Status s = db->InsertFast(ref, acked * kStepMs, 1.0 * acked);
+    batch.Clear();
+    batch.AddSample(ref, acked * kStepMs, 1.0 * acked);
+    Status s = WriteAll(db.get(), batch);
     if (!s.ok()) {
       quiesced = s;
       break;
     }
-    ASSERT_TRUE(
-        control->InsertFast(control_ref, acked * kStepMs, 1.0 * acked).ok());
+    control_batch.Clear();
+    control_batch.AddSample(control_ref, acked * kStepMs, 1.0 * acked);
+    ASSERT_TRUE(WriteAll(control.get(), control_batch).ok());
     ++acked;
   }
   ASSERT_FALSE(quiesced.ok()) << "disk-full never quiesced the write path";
@@ -300,9 +309,11 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   const auto matcher = index::TagMatcher::Equal("metric", "cpu");
   {
     core::QueryResult degraded, reference;
-    ASSERT_TRUE(db->Query({matcher}, 0, acked * kStepMs, &degraded).ok());
-    ASSERT_TRUE(
-        control->Query({matcher}, 0, acked * kStepMs, &reference).ok());
+    ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, acked * kStepMs),
+                          &degraded).ok());
+    ASSERT_TRUE(control->Query(
+                    ReadRequest::Range({matcher}, 0, acked * kStepMs),
+                    &reference).ok());
     ASSERT_EQ(degraded.size(), 1u);
     ASSERT_EQ(reference.size(), 1u);
     ASSERT_EQ(degraded[0].samples.size(), reference[0].samples.size());
@@ -331,26 +342,31 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   }
   ASSERT_EQ(db->Health(), DbHealth::kHealthy) << "auto-resume never fired";
   {
-    const core::HealthReport health = db->HealthReport();
-    EXPECT_GT(health.resume_attempts, 0u);
-    EXPECT_GT(health.resumes_succeeded, 0u);
-    EXPECT_TRUE(health.last_background_error.ok());
+    const obs::MetricsSnapshot snap = db->Metrics();
+    EXPECT_GT(snap.CounterOr0("error_handler.resume_attempts"), 0u);
+    EXPECT_GT(snap.CounterOr0("error_handler.resumes_succeeded"), 0u);
+    EXPECT_TRUE(db->time_lsm()->last_background_error().ok());
   }
 
   // Phase 4: ingest continues where it left off; both DBs flush and must
   // be byte-identical over the whole history.
   const int total = acked + 300;
+  batch.Clear();
+  control_batch.Clear();
   for (; acked < total; ++acked) {
-    ASSERT_TRUE(db->InsertFast(ref, acked * kStepMs, 1.0 * acked).ok());
-    ASSERT_TRUE(
-        control->InsertFast(control_ref, acked * kStepMs, 1.0 * acked).ok());
+    batch.AddSample(ref, acked * kStepMs, 1.0 * acked);
+    control_batch.AddSample(control_ref, acked * kStepMs, 1.0 * acked);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+  ASSERT_TRUE(WriteAll(control.get(), control_batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_TRUE(control->Flush().ok());
 
   core::QueryResult got, want;
-  ASSERT_TRUE(db->Query({matcher}, 0, total * kStepMs, &got).ok());
-  ASSERT_TRUE(control->Query({matcher}, 0, total * kStepMs, &want).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, total * kStepMs), &got)
+                  .ok());
+  ASSERT_TRUE(control->Query(ReadRequest::Range({matcher}, 0, total * kStepMs),
+                             &want).ok());
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(want.size(), 1u);
   ASSERT_EQ(got[0].samples.size(), want[0].samples.size());
@@ -367,6 +383,69 @@ TEST(EnospcDrillTest, QuiesceServeReadsReleaseThenAutoResume) {
   control.reset();
   RemoveDirRecursive(ws);
   RemoveDirRecursive(control_ws);
+}
+
+// -- Compaction failure drill ------------------------------------------------
+
+// One injected append failure on the fast tier, swept over every fail
+// point of the flush → L0 compaction → L1 merge sequence. Wherever the
+// failure lands (flush table, manifest save, compaction output), the rows
+// Write acked stay readable while the DB is degraded, and after it resumes
+// and flushes. A failed compaction must keep its inputs in their level.
+TEST(CompactionFailureDrillTest, EveryFailPointKeepsAckedRowsReadable) {
+  const std::string ws = "/tmp/timeunion_test/compaction_fail_drill";
+  constexpr int64_t kStepMs = 250;
+  constexpr int kRows = 200;
+  const auto matcher = index::TagMatcher::Equal("metric", "cpu");
+  for (uint64_t fail_nth = 1; fail_nth <= 40; ++fail_nth) {
+    SCOPED_TRACE("fail_nth=" + std::to_string(fail_nth));
+    RemoveDirRecursive(ws);
+    auto fi = std::make_shared<FaultInjector>(5);
+    fi->AddRule(
+        FaultRule::Permanent(FaultOpMask(FaultOp::kAppend), fail_nth, "lsm/"));
+    core::DBOptions opts = DrillOptions(ws);
+    opts.env_options.fast_sim.fault = fi;
+    opts.lsm.background_flush = true;
+    std::unique_ptr<core::TimeUnionDB> db;
+    ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+    uint64_t ref = 0;
+    ASSERT_TRUE(db->RegisterSeries({{"metric", "cpu"}}, &ref).ok());
+
+    // One row per Write; stop at the first refused row.
+    WriteBatch batch;
+    int acked = 0;
+    for (; acked < kRows; ++acked) {
+      batch.Clear();
+      batch.AddSample(ref, acked * kStepMs, 1.0 * acked);
+      if (!WriteAll(db.get(), batch).ok()) break;
+    }
+    auto expect_acked_rows = [&](const char* phase) {
+      core::QueryResult result;
+      ASSERT_TRUE(
+          db->Query(ReadRequest::Range({matcher}, 0, kRows * kStepMs), &result)
+              .ok());
+      ASSERT_EQ(result.size(), 1u) << phase;
+      ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(acked))
+          << phase;
+      for (int i = 0; i < acked; ++i) {
+        ASSERT_EQ(result[0].samples[i].timestamp, i * kStepMs) << phase;
+        ASSERT_EQ(result[0].samples[i].value, 1.0 * i) << phase;
+      }
+    };
+    expect_acked_rows("degraded");
+
+    // The rule fired once; the retried work succeeds and persists.
+    for (int k = 0; k < 100 && db->Health() != DbHealth::kHealthy; ++k) {
+      (void)db->Resume();
+    }
+    ASSERT_EQ(db->Health(), DbHealth::kHealthy);
+    ASSERT_TRUE(db->Flush().ok());
+    expect_acked_rows("resumed");
+    db.reset();
+    ASSERT_TRUE(core::TimeUnionDB::Open(DrillOptions(ws), &db).ok());
+    expect_acked_rows("reopened");
+  }
+  RemoveDirRecursive(ws);
 }
 
 // -- Crash while degraded -----------------------------------------------------
@@ -401,12 +480,15 @@ constexpr int64_t kCrashStepMs = 250;
   std::unique_ptr<core::TimeUnionDB> db;
   if (!core::TimeUnionDB::Open(opts, &db).ok()) std::_Exit(81);
   uint64_t ref = 0;
+  if (!db->RegisterSeries({{"metric", "cpu"}}, &ref).ok()) std::_Exit(85);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  WriteBatch batch;
   for (int i = 0; i < 100'000; ++i) {
     if (std::chrono::steady_clock::now() >= deadline) std::_Exit(82);
-    Status s = (i == 0) ? db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref)
-                        : db->InsertFast(ref, i * kCrashStepMs, 1.0 * i);
+    batch.Clear();
+    batch.AddSample(ref, i * kCrashStepMs, 1.0 * i);
+    Status s = WriteAll(db.get(), batch);
     if (!s.ok()) {
       // Quiesced. The WAL holds every acked sample; die without teardown.
       if (!s.IsResourceExhausted()) std::_Exit(87);
@@ -449,9 +531,9 @@ TEST(CrashWhileDegradedTest, AckedSamplesSurviveCrashDuringQuiesce) {
   EXPECT_EQ(db->Health(), DbHealth::kHealthy);
 
   core::QueryResult result;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,
-                        100'000 * kCrashStepMs, &result)
-                  .ok());
+  ASSERT_TRUE(
+      db->Query(ReadRequest::Range({index::TagMatcher::Equal("metric", "cpu")},
+                                   0, 100'000 * kCrashStepMs), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   std::map<int64_t, double> samples;
   for (const auto& s : result[0].samples) samples[s.timestamp] = s.value;

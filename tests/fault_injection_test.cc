@@ -29,6 +29,7 @@
 #include "core/timeunion_db.h"
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
+#include "write_all.h"
 
 namespace tu {
 namespace {
@@ -37,6 +38,8 @@ using cloud::FaultInjector;
 using cloud::FaultOp;
 using cloud::FaultOpMask;
 using cloud::FaultRule;
+using core::WriteBatch;
+using query::ReadRequest;
 
 // -- Injector rule matching --------------------------------------------------
 
@@ -277,18 +280,17 @@ TEST(FaultInjectionDbTest, TransientSlowTierFaultsAbsorbedByRetries) {
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
 
   const int n = 2000;
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < n; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  WriteBatch batch;
+  for (int i = 0; i < n; ++i) {
+    batch.AddSample(index::Labels{{"metric", "cpu"}}, i * 250LL, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   EXPECT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
   core::QueryResult result;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,
-                        n * 250LL, &result)
-                  .ok());
+  const auto cpu = index::TagMatcher::Equal("metric", "cpu");
+  ASSERT_TRUE(db->Query(ReadRequest::Range({cpu}, 0, n * 250LL), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(n));
 
@@ -297,9 +299,9 @@ TEST(FaultInjectionDbTest, TransientSlowTierFaultsAbsorbedByRetries) {
   EXPECT_GT(slow.faults_injected.load(), 0u);
   EXPECT_GT(slow.retries.load(), 0u);
   EXPECT_EQ(slow.retry_give_ups.load(), 0u);
-  const std::string report = db->env().CountersReport();
-  EXPECT_NE(report.find("retries="), std::string::npos);
-  EXPECT_NE(report.find("give_ups="), std::string::npos);
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.CounterOr0("slow.retries"), slow.retries.load());
+  EXPECT_EQ(snap.CounterOr0("slow.give_ups"), 0u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -383,19 +385,19 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
 
-  uint64_t ref = 0, control_ref = 0;
-  auto ingest = [&](core::TimeUnionDB* target, uint64_t* r, int from,
-                    int to) {
+  auto ingest = [&](core::TimeUnionDB* target, int from, int to) {
+    WriteBatch batch;
     for (int i = from; i < to; ++i) {
-      Status s = (i == 0) ? target->Insert({{"metric", "cpu"}}, 0, 0.0, r)
-                          : target->InsertFast(*r, i * kStepMs, 1.0 * i);
-      ASSERT_TRUE(s.ok()) << "sample " << i << ": " << s.ToString();
+      batch.AddSample(index::Labels{{"metric", "cpu"}}, i * kStepMs, 1.0 * i);
     }
+    Status s = WriteAll(target, batch);
+    ASSERT_TRUE(s.ok()) << "samples [" << from << ", " << to
+                        << "): " << s.ToString();
   };
 
   // Phase 1 (healthy): both DBs ingest and flush; data reaches L2.
-  ingest(control.get(), &control_ref, 0, kPreOutage);
-  ingest(db.get(), &ref, 0, kPreOutage);
+  ingest(control.get(), 0, kPreOutage);
+  ingest(db.get(), 0, kPreOutage);
   ASSERT_TRUE(control->Flush().ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
@@ -405,30 +407,33 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
   // L1->L2 compaction parks its outputs on the fast tier.
   fi->AddRule(TotalSlowTierOutage());
   TripBreakerHard(db.get());
-  ingest(control.get(), &control_ref, kPreOutage, kTotal);
-  ingest(db.get(), &ref, kPreOutage, kTotal);
+  ingest(control.get(), kPreOutage, kTotal);
+  ingest(db.get(), kPreOutage, kTotal);
   ASSERT_TRUE(control->Flush().ok());
   ASSERT_TRUE(db->Flush().ok());
 
-  core::HealthReport health = db->HealthReport();
-  EXPECT_EQ(health.slow_breaker, cloud::BreakerState::kOpen);
-  EXPECT_GT(health.breaker_opens, 0u);
-  EXPECT_GT(health.breaker_rejections, 0u);
-  EXPECT_GT(health.deferred_tables, 0u);
-  EXPECT_GT(health.deferred_bytes, 0u);
-  EXPECT_TRUE(health.last_background_error.ok())
-      << health.last_background_error.ToString();
+  obs::MetricsSnapshot health = db->Metrics();
+  EXPECT_EQ(health.GaugeOr0("breaker.state"),
+            static_cast<int64_t>(cloud::BreakerState::kOpen));
+  EXPECT_GT(health.CounterOr0("slow.breaker_opens"), 0u);
+  EXPECT_GT(health.CounterOr0("slow.breaker_rejections"), 0u);
+  EXPECT_GT(health.GaugeOr0("lsm.deferred_tables"), 0);
+  EXPECT_GT(health.GaugeOr0("lsm.deferred_bytes"), 0);
+  EXPECT_TRUE(db->time_lsm()->last_background_error().ok())
+      << db->time_lsm()->last_background_error().ToString();
 
   // Mid-outage query: answers from the fast tier, flags the L2 gap.
   core::QueryResult control_result;
-  ASSERT_TRUE(
-      control->Query({matcher}, 0, kTotal * kStepMs, &control_result).ok());
+  ASSERT_TRUE(control->Query(ReadRequest::Range({matcher}, 0, kTotal * kStepMs),
+                             &control_result).ok());
   ASSERT_EQ(control_result.size(), 1u);
   ASSERT_EQ(control_result[0].samples.size(), static_cast<size_t>(kTotal));
 
   auto check_partial = [&](core::TimeUnionDB* target) {
     core::QueryResult partial;
-    ASSERT_TRUE(target->Query({matcher}, 0, kTotal * kStepMs, &partial).ok());
+    ASSERT_TRUE(
+        target->Query(ReadRequest::Range({matcher}, 0, kTotal * kStepMs),
+                      &partial).ok());
     EXPECT_FALSE(partial.complete);
     ASSERT_FALSE(partial.missing_ranges.empty());
     ASSERT_EQ(partial.size(), 1u);
@@ -450,8 +455,9 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
     }
     // The streaming path reports the same degradation.
     std::vector<core::TimeUnionDB::SeriesIterResult> iters;
-    ASSERT_TRUE(
-        target->QueryIterators({matcher}, 0, kTotal * kStepMs, &iters).ok());
+    ASSERT_TRUE(target->QueryIterators(ReadRequest::Range({matcher}, 0,
+                                                          kTotal * kStepMs),
+                                       &iters).ok());
     ASSERT_EQ(iters.size(), 1u);
     EXPECT_FALSE(iters[0].complete);
     EXPECT_FALSE(iters[0].missing_ranges.empty());
@@ -482,14 +488,15 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
   EXPECT_EQ(drained, deferred_after_reopen);
   EXPECT_EQ(db->time_lsm()->NumDeferredTables(), 0u);
   EXPECT_EQ(db->env().slow().breaker().state(), cloud::BreakerState::kClosed);
-  health = db->HealthReport();
-  EXPECT_EQ(health.deferred_tables, 0u);
-  EXPECT_EQ(health.deferred_uploads_drained, deferred_after_reopen);
+  health = db->Metrics();
+  EXPECT_EQ(health.GaugeOr0("lsm.deferred_tables"), 0);
+  EXPECT_EQ(health.CounterOr0("lsm.deferred_uploads_drained"),
+            deferred_after_reopen);
 
   // Post-outage query: complete again, identical to the no-fault control.
   core::QueryResult final_result;
-  ASSERT_TRUE(
-      db->Query({matcher}, 0, kTotal * kStepMs, &final_result).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, kTotal * kStepMs),
+                        &final_result).ok());
   EXPECT_TRUE(final_result.complete);
   EXPECT_TRUE(final_result.missing_ranges.empty());
   ASSERT_EQ(final_result.size(), 1u);
@@ -531,11 +538,11 @@ TEST(FaultInjectionDbTest, TeardownDuringOutageDoesNotWaitOutBackoffs) {
 
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 2000; ++i) {
+    batch.AddSample(index::Labels{{"metric", "cpu"}}, i * 250LL, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   // Wait until a background upload attempt has actually hit the outage
   // (so teardown races an in-flight retry loop, not an idle pool).
   const auto deadline =
@@ -600,16 +607,20 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
+  ASSERT_TRUE(db->RegisterSeries({{"metric", "cpu"}}, &ref).ok());
   // 1 ms steps and a hard iteration cap keep the virtual time span (and
   // thus the partition/flush backlog teardown must chew through) small
-  // even if the callback never fires and the test fails.
+  // even if the callback never fires and the test fails. One row per
+  // Write, so the loop stops at the first refused row.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  int i = 1;
+  WriteBatch batch;
+  int i = 0;
   while (callbacks.load() == 0 && i < 100'000 &&
          std::chrono::steady_clock::now() < deadline) {
-    Status s = db->InsertFast(ref, i, 1.0 * i);
+    batch.Clear();
+    batch.AddSample(ref, i, 1.0 * i);
+    Status s = WriteAll(db.get(), batch);
     if (!s.ok()) {
       // The error handler may quiesce writes before this loop observes the
       // callback counter; that fail-fast IS the error surfacing.
@@ -625,10 +636,11 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
   }
   ASSERT_GT(callbacks.load(), 0) << "background flush error never surfaced";
 
-  // The same error is latched for polling callers and in HealthReport, and
-  // the error handler classified it as soft (write-quiesce, auto-resume).
+  // The same error is latched for polling callers and in the metrics
+  // snapshot, and the error handler classified it as soft (write-quiesce,
+  // auto-resume).
   EXPECT_FALSE(db->time_lsm()->last_background_error().ok());
-  EXPECT_FALSE(db->HealthReport().last_background_error.ok());
+  EXPECT_GT(db->Metrics().CounterOr0("error_handler.errors_soft"), 0u);
   EXPECT_EQ(db->Health(), core::DbHealth::kDegradedWrites);
   EXPECT_FALSE(db->error_handler().LastError().ok());
 
@@ -638,8 +650,9 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
   ASSERT_TRUE(db->Resume().ok());
   EXPECT_EQ(db->Health(), core::DbHealth::kHealthy);
   EXPECT_TRUE(db->time_lsm()->last_background_error().ok());
-  EXPECT_TRUE(db->HealthReport().last_background_error.ok());
-  ASSERT_TRUE(db->InsertFast(ref, 200'000, 1.0).ok());
+  batch.Clear();
+  batch.AddSample(ref, 200'000, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -663,17 +676,17 @@ TEST(FaultInjectionDbTest, AdmissionControlDelaysThenRejectsWrites) {
     std::unique_ptr<core::TimeUnionDB> db;
     ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
     uint64_t ref = 0;
-    ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-    for (int i = 1; i < 200; ++i) {
-      ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-    }
+    ASSERT_TRUE(db->RegisterSeries({{"metric", "cpu"}}, &ref).ok());
+    WriteBatch batch;
+    for (int i = 0; i < 200; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+    ASSERT_TRUE(WriteAll(db.get(), batch).ok());
     ASSERT_TRUE(db->Flush().ok());  // something now lives on the fast tier
-    for (int i = 200; i < 400; ++i) {
-      ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-    }
-    core::HealthReport health = db->HealthReport();
-    EXPECT_GT(health.writers_delayed, 0u);
-    EXPECT_EQ(health.writes_rejected, 0u);
+    batch.Clear();
+    for (int i = 200; i < 400; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+    ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+    const obs::MetricsSnapshot snap = db->Metrics();
+    EXPECT_GT(snap.CounterOr0("admission.writers_delayed"), 0u);
+    EXPECT_EQ(snap.CounterOr0("admission.writes_rejected"), 0u);
     db.reset();
   }
 
@@ -687,10 +700,13 @@ TEST(FaultInjectionDbTest, AdmissionControlDelaysThenRejectsWrites) {
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
+  ASSERT_TRUE(db->RegisterSeries({{"metric", "cpu"}}, &ref).ok());
+  WriteBatch batch;
   Status rejected;
-  for (int i = 1; i < 400 && rejected.ok(); ++i) {
-    Status s = db->InsertFast(ref, i * 250LL, 1.0 * i);
+  for (int i = 0; i < 400 && rejected.ok(); ++i) {
+    batch.Clear();
+    batch.AddSample(ref, i * 250LL, 1.0 * i);
+    Status s = WriteAll(db.get(), batch);
     if (s.IsResourceExhausted()) {
       rejected = s;
       break;
@@ -701,7 +717,7 @@ TEST(FaultInjectionDbTest, AdmissionControlDelaysThenRejectsWrites) {
     }
   }
   EXPECT_TRUE(rejected.IsResourceExhausted()) << rejected.ToString();
-  EXPECT_GT(db->HealthReport().writes_rejected, 0u);
+  EXPECT_GT(db->Metrics().CounterOr0("admission.writes_rejected"), 0u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -765,11 +781,12 @@ int ReadAck(const std::string& ws) {
   std::unique_ptr<core::TimeUnionDB> db;
   if (!core::TimeUnionDB::Open(opts, &db).ok()) std::_Exit(81);
   uint64_t ref = 0;
+  if (!db->RegisterSeries({{"metric", "cpu"}}, &ref).ok()) std::_Exit(85);
+  WriteBatch batch;
   for (int i = 0; i < kCrashSamples; ++i) {
-    Status s = (i == 0)
-                   ? db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref)
-                   : db->InsertFast(ref, i * kCrashIntervalMs, 1.0 * i);
-    if (!s.ok()) std::_Exit(82);
+    batch.Clear();
+    batch.AddSample(ref, i * kCrashIntervalMs, 1.0 * i);
+    if (!WriteAll(db.get(), batch).ok()) std::_Exit(82);
     if (!db->SyncWal().ok()) std::_Exit(83);
     WriteAck(ws, i + 1);  // sample i is now acknowledged
     if ((i + 1) % 16 == 0 && !db->Flush().ok()) std::_Exit(84);
@@ -808,8 +825,10 @@ TEST_P(CrashRecoveryTest, AcknowledgedSamplesSurviveCrash) {
       << c.site;
 
   core::QueryResult result;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,
-                        kCrashSamples * kCrashIntervalMs, &result)
+  const auto cpu = index::TagMatcher::Equal("metric", "cpu");
+  ASSERT_TRUE(db->Query(ReadRequest::Range({cpu}, 0,
+                                           kCrashSamples * kCrashIntervalMs),
+                        &result)
                   .ok());
   ASSERT_EQ(result.size(), 1u) << c.site;
   // No duplicated data: timestamps strictly ascending.

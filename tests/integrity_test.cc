@@ -30,6 +30,7 @@
 #include "lsm/table_format.h"
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
+#include "write_all.h"
 
 namespace tu {
 namespace {
@@ -38,6 +39,7 @@ using cloud::FaultInjector;
 using cloud::FaultOp;
 using cloud::FaultRule;
 using lsm::TimePartitionedLsm;
+using query::ReadRequest;
 using ScrubOutcome = TimePartitionedLsm::ScrubOutcome;
 
 // -- Manifest envelope -------------------------------------------------------
@@ -100,18 +102,19 @@ constexpr int64_t kStepMs = 250;
 
 void IngestWorkload(core::TimeUnionDB* db) {
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kSamples; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"metric", "cpu"}}, &ref).ok());
+  core::WriteBatch batch;
+  for (int i = 0; i < kSamples; ++i) batch.AddSample(ref, i * kStepMs, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db, batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 }
 
 core::QueryResult QueryAll(core::TimeUnionDB* db) {
   core::QueryResult result;
-  Status s = db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,
-                       kSamples * kStepMs, &result);
+  const auto cpu = index::TagMatcher::Equal("metric", "cpu");
+  Status s =
+      db->Query(ReadRequest::Range({cpu}, 0, kSamples * kStepMs), &result);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return result;
 }
@@ -238,11 +241,11 @@ TEST(CorruptionMatrixTest, CorruptWalRecordDetectedAndPrefixSalvaged) {
   {
     std::unique_ptr<core::TimeUnionDB> db;
     ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
-    uint64_t ref = 0;
-    ASSERT_TRUE(db->Insert({{"metric", "cpu"}}, 0, 0.0, &ref).ok());
-    for (int i = 1; i < 200; ++i) {
-      ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
+    core::WriteBatch batch;
+    for (int i = 0; i < 200; ++i) {
+      batch.AddSample(index::Labels{{"metric", "cpu"}}, i * kStepMs, 1.0 * i);
     }
+    ASSERT_TRUE(WriteAll(db.get(), batch).ok());
     ASSERT_TRUE(db->SyncWal().ok());
     // No Flush: every sample lives only in the WAL.
   }
@@ -259,9 +262,9 @@ TEST(CorruptionMatrixTest, CorruptWalRecordDetectedAndPrefixSalvaged) {
   EXPECT_LT(wal.records_applied, 200u);  // the tail was not trusted
 
   core::QueryResult result;
-  ASSERT_TRUE(db->Query({index::TagMatcher::Equal("metric", "cpu")}, 0,
-                        200 * kStepMs, &result)
-                  .ok());
+  const auto cpu = index::TagMatcher::Equal("metric", "cpu");
+  ASSERT_TRUE(
+      db->Query(ReadRequest::Range({cpu}, 0, 200 * kStepMs), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   // The salvaged prefix is intact and in order.
   for (size_t i = 0; i < result[0].samples.size(); ++i) {
@@ -310,9 +313,6 @@ TEST(SelfHealingReadTest, TransientOnReadFlipHealedByCacheBypassingReread) {
   const obs::MetricsSnapshot snap = db->Metrics();
   EXPECT_EQ(snap.CounterOr0("integrity.read_corruptions_detected"), 1u);
   EXPECT_EQ(snap.CounterOr0("integrity.read_corruptions_healed"), 1u);
-  const core::HealthReport health = db->HealthReport();
-  EXPECT_EQ(health.read_corruptions_detected, 1u);
-  EXPECT_EQ(health.read_corruptions_healed, 1u);
   db.reset();
   RemoveDirRecursive(ws);
 }
@@ -410,17 +410,12 @@ TEST(ScrubTest, AtRestCorruptionDetectedRepairedOrQuarantined) {
   EXPECT_EQ(report.quarantined, 1u);
   EXPECT_GT(report.bytes_verified, 0u);
 
-  // Metrics/health agree with the pass report.
+  // The metrics snapshot agrees with the pass report.
   const obs::MetricsSnapshot snap = db->Metrics();
   EXPECT_EQ(snap.CounterOr0("scrub.corruptions_found"), 2u);
   EXPECT_EQ(snap.CounterOr0("scrub.repaired"), 1u);
   EXPECT_EQ(snap.CounterOr0("scrub.quarantined"), 1u);
   EXPECT_EQ(snap.CounterOr0("scrub.passes"), 1u);
-  const core::HealthReport health = db->HealthReport();
-  EXPECT_EQ(health.scrub_corruptions_found, 2u);
-  EXPECT_EQ(health.scrub_repaired, 1u);
-  EXPECT_EQ(health.scrub_quarantined, 1u);
-  EXPECT_EQ(health.scrub_passes, 1u);
 
   // The repaired table serves byte-identical data; the quarantined one is
   // out of the manifest, so its span is flagged, never silently wrong.

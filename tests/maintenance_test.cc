@@ -6,11 +6,13 @@
 
 #include "core/timeunion_db.h"
 #include "util/mmap_file.h"
+#include "write_all.h"
 
 namespace tu::core {
 namespace {
 
 using index::TagMatcher;
+using query::ReadRequest;
 
 constexpr int64_t kHour = 3600LL * 1000;
 
@@ -91,10 +93,10 @@ TEST(DbMaintenanceTest, BackgroundRetentionPurgesOldData) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
-  for (int i = 1; i < 28 * 60; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 60'000LL, 1.0).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 28 * 60; ++i) batch.AddSample(ref, i * 60'000LL, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   now->store(30 * kHour);
 
@@ -103,11 +105,11 @@ TEST(DbMaintenanceTest, BackgroundRetentionPurgesOldData) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   QueryResult result;
-  ASSERT_TRUE(
-      db->Query({TagMatcher::Equal("m", "cpu")}, 0, 20 * kHour, &result).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                           20 * kHour), &result).ok());
   EXPECT_TRUE(result.empty()) << "data older than the watermark must be gone";
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 26 * kHour,
-                        28 * kHour, &result)
+  ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")},
+                                           26 * kHour, 28 * kHour), &result)
                   .ok());
   EXPECT_FALSE(result.empty()) << "recent data must survive";
 

@@ -8,8 +8,8 @@
 //   - MetricsSnapshot::ToJson schema stability (exact string) and
 //     Prometheus text exposition.
 //   - DB-level: TimeUnionDB::Metrics() covers ingest/flush/compaction/
-//     query/slow-tier instruments after a real workload; HealthReport and
-//     CountersReport are views over the same snapshot; metrics.jsonl
+//     query/slow-tier instruments after a real workload; every health,
+//     tier and server name operators read is in the snapshot; metrics.jsonl
 //     emission; DBOptions::Validate rejections.
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "util/mmap_file.h"
+#include "write_all.h"
 
 namespace tu {
 namespace {
@@ -34,6 +35,7 @@ using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
 using index::TagMatcher;
+using query::ReadRequest;
 
 // -- Histogram ----------------------------------------------------------------
 
@@ -261,17 +263,21 @@ TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
 
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  // One row per Write: append latency is sampled once per same-series run,
+  // and this test wants one run per sample.
+  core::WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) {
+    batch.Clear();
+    batch.AddSample(ref, i * 250LL, 1.0 * i);
+    ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   }
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL,
-                        &result)
-                  .ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                           kTotal * 250LL), &result).ok());
   ASSERT_EQ(result.size(), 1u);
 
   const obs::MetricsSnapshot snap = db->Metrics();
@@ -328,64 +334,96 @@ TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
   RemoveDirRecursive(ws);
 }
 
-// HealthReport is a typed view over Metrics(); on a quiesced DB the two
-// must agree field by field.
-TEST(DbMetricsTest, HealthReportMatchesMetricsSnapshot) {
+// Metrics() is the one introspection surface: every name an operator
+// reads for breaker, backlog, fast-tier pressure, admission, cache, scrub,
+// read-integrity and background-error state is present on a quiet DB, and
+// the values agree with the components they come from.
+TEST(DbMetricsTest, SnapshotCarriesHealthAndTierNames) {
   const std::string ws = "/tmp/timeunion_test/obs_health";
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
 
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 500; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  core::WriteBatch batch;
+  for (int i = 0; i < 500; ++i) {
+    batch.AddSample(index::Labels{{"m", "cpu"}}, i * 250LL, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   QueryResult result;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, 500 * 250LL,
+  ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                           500 * 250LL),
                         &result)
                   .ok());
 
-  const core::HealthReport health = db->HealthReport();
   const obs::MetricsSnapshot snap = db->Metrics();
-  EXPECT_EQ(health.breaker_enabled, snap.GaugeOr0("breaker.enabled") != 0);
-  EXPECT_EQ(static_cast<int64_t>(health.slow_breaker),
-            snap.GaugeOr0("breaker.state"));
-  EXPECT_EQ(health.breaker_rejections,
-            snap.CounterOr0("slow.breaker_rejections"));
-  EXPECT_EQ(health.breaker_opens, snap.CounterOr0("slow.breaker_opens"));
-  EXPECT_EQ(health.deferred_tables,
-            static_cast<size_t>(snap.GaugeOr0("lsm.deferred_tables")));
-  EXPECT_EQ(health.fast_bytes,
-            static_cast<uint64_t>(snap.GaugeOr0("lsm.fast_bytes")));
-  EXPECT_EQ(health.writers_delayed,
-            snap.CounterOr0("admission.writers_delayed"));
-  EXPECT_EQ(health.writes_rejected,
-            snap.CounterOr0("admission.writes_rejected"));
-  EXPECT_EQ(health.block_cache_enabled, snap.GaugeOr0("cache.enabled") != 0);
-  EXPECT_EQ(health.block_cache_hits, snap.CounterOr0("cache.hits"));
-  EXPECT_EQ(health.block_cache_misses, snap.CounterOr0("cache.misses"));
-  EXPECT_TRUE(health.last_background_error.ok());
-  // server.* fields exist (and are zero) even with no server attached —
-  // the HealthReport schema does not depend on the front door running.
-  EXPECT_EQ(health.server_open_connections,
-            static_cast<uint64_t>(snap.GaugeOr0("server.open_connections")));
-  EXPECT_EQ(health.server_inflight_requests,
-            static_cast<uint64_t>(snap.GaugeOr0("server.inflight_requests")));
-  EXPECT_EQ(health.server_tenant_rejects,
-            snap.CounterOr0("server.tenant_rejects"));
-  EXPECT_EQ(health.server_open_connections, 0u);
-  EXPECT_EQ(health.server_tenant_rejects, 0u);
+  for (const char* name :
+       {"breaker.enabled", "breaker.state", "lsm.deferred_tables",
+        "lsm.deferred_bytes", "lsm.fast_bytes", "lsm.fast_limit_bytes",
+        "cache.enabled", "cache.usage", "scrub.enabled", "db.health_state"}) {
+    EXPECT_NE(snap.FindGauge(name), nullptr) << name;
+  }
+  for (const char* name :
+       {"lsm.deferred_uploads_drained", "admission.writers_delayed",
+        "admission.writes_rejected", "cache.hits", "cache.misses",
+        "cache.evictions", "integrity.read_corruptions_detected",
+        "integrity.read_corruptions_healed", "error_handler.errors_total",
+        "error_handler.errors_soft", "error_handler.errors_hard",
+        "error_handler.resume_attempts", "error_handler.resumes_succeeded",
+        "error_handler.resume_failures", "query.runs"}) {
+    EXPECT_NE(snap.FindCounter(name), nullptr) << name;
+  }
+  for (const char* tier : {"fast", "slow"}) {
+    for (const char* field :
+         {"gets", "puts", "deletes", "read_bytes", "written_bytes",
+          "charged_us", "faults", "retries", "give_ups",
+          "breaker_rejections", "breaker_opens"}) {
+      const std::string name = std::string(tier) + "." + field;
+      EXPECT_NE(snap.FindCounter(name), nullptr) << name;
+    }
+  }
+  ASSERT_NE(snap.FindString("db.health"), nullptr);
+  EXPECT_EQ(*snap.FindString("db.health"), "healthy");
+  ASSERT_NE(snap.FindString("db.last_background_error"), nullptr);
+
+  const cloud::ObjectStore& slow = db->env().slow();
+  EXPECT_EQ(snap.GaugeOr0("breaker.enabled") != 0, slow.breaker().enabled());
+  EXPECT_EQ(snap.GaugeOr0("breaker.state"),
+            static_cast<int64_t>(slow.breaker().state()));
+  EXPECT_EQ(snap.CounterOr0("slow.puts"), slow.counters().put_ops.load());
+  EXPECT_EQ(snap.GaugeOr0("lsm.deferred_tables"),
+            static_cast<int64_t>(db->time_lsm()->NumDeferredTables()));
+  EXPECT_EQ(snap.GaugeOr0("lsm.fast_bytes"),
+            static_cast<int64_t>(db->time_lsm()->FastBytesGauge()));
+  EXPECT_EQ(snap.CounterOr0("query.runs"), 1u);
+  EXPECT_EQ(snap.CounterOr0("admission.writers_delayed"), 0u);
+  EXPECT_EQ(snap.CounterOr0("error_handler.errors_total"), 0u);
+  EXPECT_TRUE(db->time_lsm()->last_background_error().ok());
 
   db.reset();
   RemoveDirRecursive(ws);
 }
 
+// Scrub counters are registered by the scrubber the DB owns; they are in
+// the snapshot before the first pass runs.
+TEST(DbMetricsTest, SnapshotCarriesScrubCountersBeforeFirstPass) {
+  const std::string ws = "/tmp/timeunion_test/obs_scrub_names";
+  RemoveDirRecursive(ws);
+  std::unique_ptr<TimeUnionDB> db;
+  ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
+  const obs::MetricsSnapshot snap = db->Metrics();
+  for (const char* name : {"scrub.passes", "scrub.corruptions_found",
+                           "scrub.repaired", "scrub.quarantined"}) {
+    ASSERT_NE(snap.FindCounter(name), nullptr) << name;
+    EXPECT_EQ(*snap.FindCounter(name), 0u) << name;
+  }
+  db.reset();
+  RemoveDirRecursive(ws);
+}
+
 // With the network front door attached, the server.* instruments land in
-// the same registry: Metrics() picks them up without any schema change
-// and HealthReport's typed server fields track them exactly.
-TEST(DbMetricsTest, ServerInstrumentsSurfaceInHealthAndMetrics) {
+// the same registry: Metrics() picks them up without any schema change.
+TEST(DbMetricsTest, ServerInstrumentsSurfaceInMetrics) {
   const std::string ws = "/tmp/timeunion_test/obs_server";
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -416,11 +454,8 @@ TEST(DbMetricsTest, ServerInstrumentsSurfaceInHealthAndMetrics) {
   EXPECT_GE(snap.CounterOr0("server.tenant.acme.samples"), 1u);
   EXPECT_GE(snap.CounterOr0("server.tenant.acme.rejects"), 1u);
 
-  const core::HealthReport health = db->HealthReport();
-  EXPECT_EQ(health.server_open_connections,
-            static_cast<uint64_t>(snap.GaugeOr0("server.open_connections")));
-  EXPECT_EQ(health.server_tenant_rejects,
-            snap.CounterOr0("server.tenant_rejects"));
+  ASSERT_NE(snap.FindGauge("server.inflight_requests"), nullptr);
+  EXPECT_GE(*snap.FindGauge("server.inflight_requests"), 0);
 
   // The snapshot still serializes under the pinned schema — server.*
   // names are plain counters/gauges, not a new section.
@@ -433,32 +468,11 @@ TEST(DbMetricsTest, ServerInstrumentsSurfaceInHealthAndMetrics) {
   srv.reset();
   // Instruments outlive the server (registry owns them); the gauge drops
   // back to zero on drain.
-  EXPECT_EQ(db->HealthReport().server_open_connections, 0u);
-  db.reset();
-  RemoveDirRecursive(ws);
-}
-
-// CountersReport is a formatter over the same snapshot: its tier lines
-// must match the TieredEnv's own report exactly on a quiesced DB.
-TEST(DbMetricsTest, CountersReportMatchesEnvReport) {
-  const std::string ws = "/tmp/timeunion_test/obs_counters";
-  RemoveDirRecursive(ws);
-  std::unique_ptr<TimeUnionDB> db;
-  ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
-
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 1000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
-  ASSERT_TRUE(db->Flush().ok());
-
-  const std::string env_report = db->env().CountersReport();
-  const std::string db_report = db->CountersReport();
-  EXPECT_EQ(db_report.substr(0, env_report.size()), env_report);
-  EXPECT_NE(db_report.find("\nblock_cache: hits="), std::string::npos);
-  EXPECT_NE(db_report.find("\nqueries: run=0 "), std::string::npos);
-
+  const obs::MetricsSnapshot after = db->Metrics();
+  ASSERT_NE(after.FindGauge("server.open_connections"), nullptr);
+  EXPECT_EQ(*after.FindGauge("server.open_connections"), 0);
+  EXPECT_EQ(after.CounterOr0("server.tenant_rejects"),
+            snap.CounterOr0("server.tenant_rejects"));
   db.reset();
   RemoveDirRecursive(ws);
 }
@@ -473,11 +487,11 @@ TEST(DbMetricsTest, DisabledMetricsStillReportExternalCounters) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 200; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+  core::WriteBatch batch;
+  for (int i = 0; i < 200; ++i) {
+    batch.AddSample(index::Labels{{"m", "cpu"}}, i * 250LL, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
 
   const obs::MetricsSnapshot snap = db->Metrics();
@@ -501,8 +515,9 @@ TEST(DbMetricsTest, MaintenanceEmitsMetricsJsonl) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
+  core::WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
 
   const std::string path = ws + "/metrics.jsonl";
   std::string line;

@@ -9,7 +9,7 @@
 //     fast tier must not fetch a single slow-tier object even when older
 //     L2-resident partitions exist (QueryStats + env counter deltas).
 //   - Block cache surfacing: hits/misses/evictions through QueryStats,
-//     HealthReport and CountersReport; block_cache_bytes = 0 disables
+//     the Metrics() snapshot (cache.*); block_cache_bytes = 0 disables
 //     caching entirely.
 //   - TableReader upper-bound pruning: a bounded blind drain stops reading
 //     data blocks once the index key passes the bound.
@@ -32,6 +32,7 @@
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_all.h"
 
 namespace tu {
 namespace {
@@ -41,7 +42,9 @@ using cloud::FaultRule;
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteBatch;
 using index::TagMatcher;
+using query::ReadRequest;
 
 // Tiny partitions so modest workloads span head + L0/L1 + slow-tier L2.
 DBOptions SmallPartitionOptions(const std::string& ws) {
@@ -124,21 +127,25 @@ TEST(QueryValidationTest, RejectsInvertedRangeAndEmptyMatchers) {
   opts.workspace = ws;
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
 
   QueryResult result;
   std::vector<TimeUnionDB::SeriesIterResult> iters;
   const auto matcher = TagMatcher::Equal("m", "cpu");
 
-  EXPECT_TRUE(db->Query({matcher}, 10, 5, &result).IsInvalidArgument());
-  EXPECT_TRUE(db->Query({}, 0, 10, &result).IsInvalidArgument());
-  EXPECT_TRUE(
-      db->QueryIterators({matcher}, 10, 5, &iters).IsInvalidArgument());
-  EXPECT_TRUE(db->QueryIterators({}, 0, 10, &iters).IsInvalidArgument());
+  EXPECT_TRUE(db->Query(ReadRequest::Range({matcher}, 10, 5), &result)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(db->Query(ReadRequest::Range({}, 0, 10), &result)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(db->QueryIterators(ReadRequest::Range({matcher}, 10, 5), &iters)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(db->QueryIterators(ReadRequest::Range({}, 0, 10), &iters)
+                  .IsInvalidArgument());
 
   // A single-point range (t0 == t1) is legal.
-  EXPECT_TRUE(db->Query({matcher}, 0, 0, &result).ok());
+  EXPECT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, 0), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 1u);
 
@@ -164,32 +171,36 @@ TEST_P(QueryDifferentialTest, RandomWorkloadIdenticalAcrossEntryPoints) {
 
   // Individual series share dc=east with the group below, so one matcher
   // exercises both head kinds; out-of-order rewrites land in older chunks.
-  uint64_t refs[kSeries] = {0, 0, 0};
+  WriteBatch batch;
   for (int s = 0; s < kSeries; ++s) {
-    ASSERT_TRUE(db->Insert({{"dc", "east"}, {"m", "s" + std::to_string(s)}},
-                           0, 0.0, &refs[s])
-                    .ok());
+    batch.AddSample(
+        index::Labels{{"dc", "east"}, {"m", "s" + std::to_string(s)}}, 0, 0.0);
   }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"dc", "east"}, {"g", "1"}},
-                              {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {0.0, 0.0},
-                              &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(index::Labels{{"dc", "east"}, {"g", "1"}},
+                    {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {0.0, 0.0});
+  core::WriteResult registered;
+  ASSERT_TRUE(WriteAll(db.get(), batch, &registered).ok());
+  const std::vector<uint64_t> refs = registered.resolved_refs;
+  const core::WriteResult::ResolvedGroup group = registered.resolved_groups[0];
 
+  // Each flush interval is one batch. Per series, rows keep their order.
+  batch.Clear();
   for (int i = 1; i < kSamplesPerSeries; ++i) {
     for (int s = 0; s < kSeries; ++s) {
       int64_t ts = i * kStepMs;
       if (rng.OneIn(8)) ts = rng.Uniform(i) * kStepMs;
-      ASSERT_TRUE(db->InsertFast(refs[s], ts, rng.NextDouble()).ok());
+      batch.AddSample(refs[s], ts, rng.NextDouble());
     }
-    ASSERT_TRUE(db->InsertGroupFast(gref, slots, i * kStepMs,
-                                    {rng.NextDouble(), rng.NextDouble()})
-                    .ok());
+    const double a = rng.NextDouble();
+    const double b = rng.NextDouble();
+    batch.AddGroupRow(group.group_ref, group.slots, i * kStepMs, {a, b});
     if (i == kSamplesPerSeries / 2 && GetParam() % 2) {
+      ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+      batch.Clear();
       ASSERT_TRUE(db->Flush().ok());
     }
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   if (GetParam() % 3 == 0) ASSERT_TRUE(db->Flush().ok());
 
   // Several windows, including ones cutting through chunk boundaries.
@@ -198,14 +209,13 @@ TEST_P(QueryDifferentialTest, RandomWorkloadIdenticalAcrossEntryPoints) {
       {0, span}, {span / 3, 2 * span / 3}, {span - 1000, span}, {0, 0}};
   for (const auto& [t0, t1] : windows) {
     QueryResult materialized;
-    ASSERT_TRUE(
-        db->Query({TagMatcher::Equal("dc", "east")}, t0, t1, &materialized)
-            .ok());
+    ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("dc", "east")},
+                                             t0, t1), &materialized).ok());
     query::QueryStats stats;
     std::vector<TimeUnionDB::SeriesIterResult> iters;
-    ASSERT_TRUE(db->QueryIterators({TagMatcher::Equal("dc", "east")}, t0, t1,
-                                   &iters, &stats)
-                    .ok());
+    ASSERT_TRUE(
+        db->QueryIterators(ReadRequest::Range({TagMatcher::Equal("dc", "east")},
+                                              t0, t1), &iters, &stats).ok());
     Materialized streamed = Drain(std::move(iters));
     ASSERT_TRUE(streamed.status.ok()) << streamed.status.ToString();
     ExpectIdentical(materialized, streamed.result);
@@ -245,10 +255,10 @@ TEST(QueryDifferentialTest, BreakerOpenPartialReadsIdentical) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
@@ -266,18 +276,18 @@ TEST(QueryDifferentialTest, BreakerOpenPartialReadsIdentical) {
   ASSERT_EQ(slow.breaker().state(), cloud::BreakerState::kOpen);
 
   QueryResult materialized;
-  ASSERT_TRUE(db->Query({TagMatcher::Equal("m", "cpu")}, 0, kTotal * 250LL,
-                        &materialized)
-                  .ok());
+  ASSERT_TRUE(
+      db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                   kTotal * 250LL), &materialized).ok());
   EXPECT_FALSE(materialized.complete);
   ASSERT_FALSE(materialized.missing_ranges.empty());
   EXPECT_GT(materialized.stats.tables_skipped_unreachable, 0u);
 
   std::vector<TimeUnionDB::SeriesIterResult> iters;
   query::QueryStats stats;
-  ASSERT_TRUE(db->QueryIterators({TagMatcher::Equal("m", "cpu")}, 0,
-                                 kTotal * 250LL, &iters, &stats)
-                  .ok());
+  ASSERT_TRUE(db->QueryIterators(
+                  ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                     kTotal * 250LL), &iters, &stats).ok());
   EXPECT_GT(stats.tables_skipped_unreachable, 0u);
   Materialized streamed = Drain(std::move(iters));
   ASSERT_TRUE(streamed.status.ok()) << streamed.status.ToString();
@@ -300,16 +310,18 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
   constexpr int kRecent = 100;
   constexpr int64_t kStepMs = 250;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kOld; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kOld; ++i) batch.AddSample(ref, i * kStepMs, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
   // Recent samples land after the flush and stay on the fast tier.
+  batch.Clear();
   for (int i = kOld; i < kOld + kRecent; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
+    batch.AddSample(ref, i * kStepMs, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
 
   const auto matcher = TagMatcher::Equal("m", "cpu");
   const cloud::TierCounters& slow = db->env().slow().counters();
@@ -318,8 +330,8 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
   // table pruning must keep the read entirely on the fast tier.
   const uint64_t gets_before = slow.get_ops.load();
   QueryResult recent;
-  ASSERT_TRUE(db->Query({matcher}, kOld * kStepMs,
-                        (kOld + kRecent) * kStepMs, &recent)
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, kOld * kStepMs,
+                                           (kOld + kRecent) * kStepMs), &recent)
                   .ok());
   ASSERT_EQ(recent.size(), 1u);
   EXPECT_EQ(recent[0].samples.size(), static_cast<size_t>(kRecent));
@@ -333,16 +345,14 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
   // were not trivially zero.
   const uint64_t gets_mid = slow.get_ops.load();
   QueryResult old;
-  ASSERT_TRUE(db->Query({matcher}, 0, 8000, &old).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, 8000), &old).ok());
   ASSERT_EQ(old.size(), 1u);
   EXPECT_EQ(old[0].samples.size(), static_cast<size_t>(8000 / kStepMs + 1));
   EXPECT_GT(slow.get_ops.load(), gets_mid);
   EXPECT_GT(old.stats.slow_tier_fetches, 0u);
   EXPECT_GT(old.stats.blocks_read, 0u);
 
-  const std::string report = db->CountersReport();
-  EXPECT_NE(report.find("queries: run="), std::string::npos);
-  EXPECT_NE(report.find("block_cache:"), std::string::npos);
+  EXPECT_EQ(db->Metrics().CounterOr0("query.runs"), 2u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -350,7 +360,7 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
 
 // -- Block cache surfacing ---------------------------------------------------
 
-TEST(BlockCacheSurfacingTest, HitsAndMissesReachReports) {
+TEST(BlockCacheSurfacingTest, HitsAndMissesReachMetrics) {
   const std::string ws = "/tmp/timeunion_test/query_cache_hits";
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
@@ -358,37 +368,38 @@ TEST(BlockCacheSurfacingTest, HitsAndMissesReachReports) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 2000; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
   const auto matcher = TagMatcher::Equal("m", "cpu");
   QueryResult cold;
-  ASSERT_TRUE(db->Query({matcher}, 0, 2000 * 250LL, &cold).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, 2000 * 250LL), &cold)
+                  .ok());
   EXPECT_GT(cold.stats.cache_misses, 0u);
 
-  core::HealthReport health = db->HealthReport();
-  EXPECT_TRUE(health.block_cache_enabled);
-  EXPECT_GT(health.block_cache_misses, 0u);
-  EXPECT_GT(health.block_cache_usage, 0u);
+  obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.GaugeOr0("cache.enabled"), 1);
+  EXPECT_GT(snap.CounterOr0("cache.misses"), 0u);
+  EXPECT_GT(snap.GaugeOr0("cache.usage"), 0);
 
   // Identical warm query: data blocks come from the cache, not the tier.
   const cloud::TierCounters& slow = db->env().slow().counters();
   const uint64_t gets_before = slow.get_ops.load();
   QueryResult warm;
-  ASSERT_TRUE(db->Query({matcher}, 0, 2000 * 250LL, &warm).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, 2000 * 250LL), &warm)
+                  .ok());
   EXPECT_GT(warm.stats.cache_hits, 0u);
   EXPECT_EQ(warm.stats.slow_tier_fetches, 0u);
   EXPECT_EQ(slow.get_ops.load(), gets_before);
   ExpectIdentical(cold, warm);
 
-  health = db->HealthReport();
-  EXPECT_GT(health.block_cache_hits, 0u);
-  const std::string report = db->CountersReport();
-  EXPECT_NE(report.find("block_cache: hits="), std::string::npos);
+  snap = db->Metrics();
+  EXPECT_GT(snap.CounterOr0("cache.hits"), 0u);
+  EXPECT_GE(snap.CounterOr0("query.cache_hits"), warm.stats.cache_hits);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -403,23 +414,21 @@ TEST(BlockCacheSurfacingTest, TinyCacheReportsEvictions) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 2000; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
 
   QueryResult result;
-  ASSERT_TRUE(
-      db->Query({TagMatcher::Equal("m", "cpu")}, 0, 2000 * 250LL, &result)
-          .ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({TagMatcher::Equal("m", "cpu")}, 0,
+                                           2000 * 250LL), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 2000u);
 
-  core::HealthReport health = db->HealthReport();
-  EXPECT_TRUE(health.block_cache_enabled);
-  EXPECT_GT(health.block_cache_evictions, 0u);
-  EXPECT_NE(db->CountersReport().find("evictions="), std::string::npos);
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.GaugeOr0("cache.enabled"), 1);
+  EXPECT_GT(snap.CounterOr0("cache.evictions"), 0u);
 
   db.reset();
   RemoveDirRecursive(ws);
@@ -434,18 +443,20 @@ TEST(BlockCacheSurfacingTest, ZeroBytesDisablesCaching) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < 2000; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 2000; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
 
   // Queries work — every cold block is re-fetched, none is cached.
   const auto matcher = TagMatcher::Equal("m", "cpu");
   QueryResult first, second;
-  ASSERT_TRUE(db->Query({matcher}, 0, 2000 * 250LL, &first).ok());
-  ASSERT_TRUE(db->Query({matcher}, 0, 2000 * 250LL, &second).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, 2000 * 250LL), &first)
+                  .ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, 2000 * 250LL), &second)
+                  .ok());
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].samples.size(), 2000u);
   ExpectIdentical(first, second);
@@ -453,11 +464,11 @@ TEST(BlockCacheSurfacingTest, ZeroBytesDisablesCaching) {
   EXPECT_EQ(first.stats.cache_misses, 0u);
   EXPECT_EQ(second.stats.cache_hits, 0u);
 
-  core::HealthReport health = db->HealthReport();
-  EXPECT_FALSE(health.block_cache_enabled);
-  EXPECT_EQ(health.block_cache_usage, 0u);
-  EXPECT_NE(db->CountersReport().find("block_cache: disabled"),
-            std::string::npos);
+  const obs::MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.GaugeOr0("cache.enabled"), 0);
+  EXPECT_EQ(snap.GaugeOr0("cache.usage"), 0);
+  EXPECT_EQ(snap.CounterOr0("cache.hits") + snap.CounterOr0("cache.misses"),
+            0u);
 
   db.reset();
   RemoveDirRecursive(ws);

@@ -34,6 +34,7 @@
 #include "tsbs/devops.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_all.h"
 
 namespace tu {
 namespace {
@@ -44,9 +45,11 @@ using compress::RollupBucket;
 using core::DBOptions;
 using core::QueryResult;
 using core::TimeUnionDB;
+using core::WriteBatch;
 using index::TagMatcher;
 using query::AggFn;
 using query::AggPoint;
+using query::ReadRequest;
 
 constexpr AggFn kAllFns[] = {AggFn::kMin, AggFn::kMax, AggFn::kSum,
                              AggFn::kCount, AggFn::kMean};
@@ -111,12 +114,14 @@ void ExpectMatchesRawDrain(TimeUnionDB* db, const DBOptions& opts,
                            int64_t t1, int64_t step_ms,
                            TimeUnionDB::AggregateResult* last = nullptr) {
   QueryResult raw;
-  EXPECT_TRUE(db->Query(matchers, t0, t1, &raw).ok());
+  EXPECT_TRUE(db->Query(ReadRequest::Range(matchers, t0, t1), &raw).ok());
   const int64_t g = ServingGranularity(opts, step_ms);
 
   TimeUnionDB::AggregateResult agg;
   for (AggFn fn : kAllFns) {
-    EXPECT_TRUE(db->AggregateQuery(matchers, t0, t1, step_ms, fn, &agg).ok());
+    EXPECT_TRUE(db->AggregateQuery(ReadRequest::Aggregate(matchers, t0, t1,
+                                                          step_ms, fn), &agg)
+                    .ok());
     EXPECT_EQ(agg.complete, raw.complete);
     EXPECT_EQ(agg.missing_ranges, raw.missing_ranges);
     ASSERT_EQ(agg.series.size(), raw.size())
@@ -304,18 +309,23 @@ TEST(RollupValidationTest, AggregateQueryRejectsBadArgs) {
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(RollupOptions(ws), &db).ok());
-  uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 1.0, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(index::Labels{{"m", "cpu"}}, 0, 1.0);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
 
   TimeUnionDB::AggregateResult out;
   const auto matcher = TagMatcher::Equal("m", "cpu");
-  EXPECT_TRUE(db->AggregateQuery({matcher}, 10, 5, 1000, AggFn::kMax, &out)
+  EXPECT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({matcher}, 10, 5, 1000,
+                                                        AggFn::kMax), &out)
                   .IsInvalidArgument());
-  EXPECT_TRUE(db->AggregateQuery({}, 0, 10, 1000, AggFn::kMax, &out)
+  EXPECT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({}, 0, 10, 1000,
+                                                        AggFn::kMax), &out)
                   .IsInvalidArgument());
-  EXPECT_TRUE(db->AggregateQuery({matcher}, 0, 10, 0, AggFn::kMax, &out)
+  EXPECT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({matcher}, 0, 10, 0,
+                                                        AggFn::kMax), &out)
                   .IsInvalidArgument());
-  EXPECT_TRUE(db->AggregateQuery({matcher}, 0, 10, -5, AggFn::kMax, &out)
+  EXPECT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({matcher}, 0, 10, -5,
+                                                        AggFn::kMax), &out)
                   .IsInvalidArgument());
 
   db.reset();
@@ -333,38 +343,50 @@ TEST_P(RollupDifferentialTest, RandomWorkloadMatchesRawDrain) {
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
 
-  Random rng(GetParam());
   constexpr int kSeries = 2;
   constexpr int kSamplesPerSeries = 1500;
   constexpr int64_t kStepMs = 250;
 
-  uint64_t refs[kSeries] = {0, 0};
-  for (int s = 0; s < kSeries; ++s) {
-    ASSERT_TRUE(db->Insert({{"dc", "east"}, {"m", "s" + std::to_string(s)}},
-                           0, 0.0, &refs[s])
-                    .ok());
-  }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db->InsertGroup({{"dc", "east"}, {"g", "1"}},
-                              {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {0.0, 0.0},
-                              &gref, &slots)
-                  .ok());
-
-  for (int i = 1; i < kSamplesPerSeries; ++i) {
+  // The workload, written into `target` with its own copy of the seed so
+  // the rollup-free control below gets the identical rows. Each flush
+  // interval is one batch.
+  auto ingest = [&](TimeUnionDB* target) {
+    Random r(GetParam());
+    WriteBatch batch;
     for (int s = 0; s < kSeries; ++s) {
-      int64_t ts = i * kStepMs;
-      // Out-of-order rewrites land inside windows that may already be
-      // compacted and rolled up — those buckets must invalidate.
-      if (rng.OneIn(8)) ts = rng.Uniform(i) * kStepMs;
-      ASSERT_TRUE(db->InsertFast(refs[s], ts, rng.NextDouble()).ok());
+      batch.AddSample(
+          index::Labels{{"dc", "east"}, {"m", "s" + std::to_string(s)}}, 0,
+          0.0);
     }
-    ASSERT_TRUE(db->InsertGroupFast(gref, slots, i * kStepMs,
-                                    {rng.NextDouble(), rng.NextDouble()})
-                    .ok());
-    if (i == kSamplesPerSeries / 2) ASSERT_TRUE(db->Flush().ok());
-  }
-  if (GetParam() % 2) ASSERT_TRUE(db->Flush().ok());
+    batch.AddGroupRow(index::Labels{{"dc", "east"}, {"g", "1"}},
+                      {{{"mem", "a"}}, {{"mem", "b"}}}, 0, {0.0, 0.0});
+    core::WriteResult registered;
+    ASSERT_TRUE(WriteAll(target, batch, &registered).ok());
+    const std::vector<uint64_t> refs = registered.resolved_refs;
+    const core::WriteResult::ResolvedGroup group =
+        registered.resolved_groups[0];
+    batch.Clear();
+    for (int i = 1; i < kSamplesPerSeries; ++i) {
+      for (int s = 0; s < kSeries; ++s) {
+        int64_t ts = i * kStepMs;
+        // Out-of-order rewrites land inside windows that may already be
+        // compacted and rolled up — those buckets must invalidate.
+        if (r.OneIn(8)) ts = r.Uniform(i) * kStepMs;
+        batch.AddSample(refs[s], ts, r.NextDouble());
+      }
+      const double a = r.NextDouble();
+      const double b = r.NextDouble();
+      batch.AddGroupRow(group.group_ref, group.slots, i * kStepMs, {a, b});
+      if (i == kSamplesPerSeries / 2) {
+        ASSERT_TRUE(WriteAll(target, batch).ok());
+        batch.Clear();
+        ASSERT_TRUE(target->Flush().ok());
+      }
+    }
+    ASSERT_TRUE(WriteAll(target, batch).ok());
+    if (GetParam() % 2) ASSERT_TRUE(target->Flush().ok());
+  };
+  ingest(db.get());
 
   const int64_t span = kSamplesPerSeries * kStepMs;
   const auto matcher = TagMatcher::Equal("dc", "east");
@@ -393,43 +415,15 @@ TEST_P(RollupDifferentialTest, RandomWorkloadMatchesRawDrain) {
   control_opts.lsm.rollup_granularities_ms.clear();
   std::unique_ptr<TimeUnionDB> control;
   ASSERT_TRUE(TimeUnionDB::Open(control_opts, &control).ok());
-  {
-    Random rng2(GetParam());
-    uint64_t crefs[kSeries] = {0, 0};
-    for (int s = 0; s < kSeries; ++s) {
-      ASSERT_TRUE(
-          control
-              ->Insert({{"dc", "east"}, {"m", "s" + std::to_string(s)}}, 0,
-                       0.0, &crefs[s])
-              .ok());
-    }
-    uint64_t cgref = 0;
-    std::vector<uint32_t> cslots;
-    ASSERT_TRUE(control
-                    ->InsertGroup({{"dc", "east"}, {"g", "1"}},
-                                  {{{"mem", "a"}}, {{"mem", "b"}}}, 0,
-                                  {0.0, 0.0}, &cgref, &cslots)
-                    .ok());
-    for (int i = 1; i < kSamplesPerSeries; ++i) {
-      for (int s = 0; s < kSeries; ++s) {
-        int64_t ts = i * kStepMs;
-        if (rng2.OneIn(8)) ts = rng2.Uniform(i) * kStepMs;
-        ASSERT_TRUE(control->InsertFast(crefs[s], ts, rng2.NextDouble()).ok());
-      }
-      ASSERT_TRUE(control
-                      ->InsertGroupFast(cgref, cslots, i * kStepMs,
-                                        {rng2.NextDouble(), rng2.NextDouble()})
-                      .ok());
-      if (i == kSamplesPerSeries / 2) ASSERT_TRUE(control->Flush().ok());
-    }
-    if (GetParam() % 2) ASSERT_TRUE(control->Flush().ok());
-  }
+  ingest(control.get());
   for (const AggFn fn : {AggFn::kMin, AggFn::kMax, AggFn::kCount}) {
     TimeUnionDB::AggregateResult with_rollups, without;
-    ASSERT_TRUE(
-        db->AggregateQuery({matcher}, 0, span, 2000, fn, &with_rollups).ok());
-    ASSERT_TRUE(
-        control->AggregateQuery({matcher}, 0, span, 2000, fn, &without).ok());
+    ASSERT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({matcher}, 0, span,
+                                                          2000, fn),
+                                   &with_rollups).ok());
+    ASSERT_TRUE(control->AggregateQuery(ReadRequest::Aggregate({matcher}, 0,
+                                                               span, 2000, fn),
+                                        &without).ok());
     ASSERT_EQ(with_rollups.series.size(), without.series.size());
     for (size_t i = 0; i < without.series.size(); ++i) {
       EXPECT_EQ(with_rollups.series[i].points, without.series[i].points)
@@ -467,10 +461,11 @@ TEST(RollupPlannerTest, InteriorFromRollupsEdgesRawFewerSlowGets) {
   constexpr int kTotal = 4000;
   constexpr int64_t kStepMs = 250;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.5, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 0.25 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(ref, 0, 0.5);
+  for (int i = 1; i < kTotal; ++i) batch.AddSample(ref, i * kStepMs, 0.25 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
   ASSERT_GT(db->time_lsm()->NumRollupTables(), 0u);
@@ -499,9 +494,9 @@ TEST(RollupPlannerTest, InteriorFromRollupsEdgesRawFewerSlowGets) {
   const cloud::TierCounters& slow2 = db->env().slow().counters();
   const uint64_t before_cold_agg = slow2.get_ops.load();
   TimeUnionDB::AggregateResult cold_agg;
-  ASSERT_TRUE(
-      db->AggregateQuery({matcher}, t0, t1, 2000, AggFn::kSum, &cold_agg)
-          .ok());
+  ASSERT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({matcher}, t0, t1, 2000,
+                                                        AggFn::kSum), &cold_agg)
+                  .ok());
   const uint64_t cold_agg_gets = slow2.get_ops.load() - before_cold_agg;
 
   db.reset();
@@ -509,7 +504,7 @@ TEST(RollupPlannerTest, InteriorFromRollupsEdgesRawFewerSlowGets) {
   const cloud::TierCounters& slow3 = db->env().slow().counters();
   const uint64_t before_cold_raw = slow3.get_ops.load();
   QueryResult cold_raw;
-  ASSERT_TRUE(db->Query({matcher}, t0, t1, &cold_raw).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, t0, t1), &cold_raw).ok());
   const uint64_t cold_raw_gets = slow3.get_ops.load() - before_cold_raw;
 
   EXPECT_LT(cold_agg_gets * 2, cold_raw_gets)
@@ -532,10 +527,10 @@ TEST(RollupDirtyTest, OooRewriteInvalidatesThenMaintenanceRederives) {
   constexpr int kTotal = 2000;
   constexpr int64_t kStepMs = 250;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * kStepMs, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * kStepMs, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumRollupTables(), 0u);
   ASSERT_EQ(db->time_lsm()->NumDirtyRollupPartitions(), 0u);
@@ -546,9 +541,11 @@ TEST(RollupDirtyTest, OooRewriteInvalidatesThenMaintenanceRederives) {
 
   // Rewrite a handful of timestamps deep inside compacted, rolled-up
   // windows: the touched buckets go stale and must stop serving.
+  batch.Clear();
   for (int64_t ts : {10'000LL, 10'250LL, 123'456LL, 300'017LL}) {
-    ASSERT_TRUE(db->InsertFast(ref, ts, 1e6).ok());
+    batch.AddSample(ref, ts, 1e6);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumDirtyRollupPartitions(), 0u);
 
@@ -571,8 +568,9 @@ TEST(RollupDirtyTest, OooRewriteInvalidatesThenMaintenanceRederives) {
   TimeUnionDB::AggregateResult after;
   ExpectMatchesRawDrain(db.get(), opts, {matcher}, 0, span, 2000, &after);
   TimeUnionDB::AggregateResult max_res;
-  ASSERT_TRUE(
-      db->AggregateQuery({matcher}, 0, span, 2000, AggFn::kMax, &max_res).ok());
+  ASSERT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({matcher}, 0, span,
+                                                        2000, AggFn::kMax),
+                                 &max_res).ok());
   ASSERT_EQ(max_res.series.size(), 1u);
   bool saw_rewrite = false;
   for (const AggPoint& p : max_res.series[0].points) {
@@ -608,16 +606,18 @@ TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   ASSERT_GT(db->time_lsm()->NumRollupTables(), 0u);
   // Keep fresh samples on the fast tier so the partial read is non-empty.
+  batch.Clear();
   for (int i = kTotal; i < kTotal + 64; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
+    batch.AddSample(ref, i * 250LL, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
 
   FaultRule outage;
   outage.ops = cloud::kAllFaultOps;
@@ -634,7 +634,7 @@ TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
   const auto matcher = TagMatcher::Equal("m", "cpu");
   const int64_t t1 = (kTotal + 64) * 250LL;
   QueryResult raw;
-  ASSERT_TRUE(db->Query({matcher}, 0, t1, &raw).ok());
+  ASSERT_TRUE(db->Query(ReadRequest::Range({matcher}, 0, t1), &raw).ok());
   ASSERT_FALSE(raw.complete);
   ASSERT_FALSE(raw.missing_ranges.empty());
 
@@ -644,7 +644,8 @@ TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
   // silently treated as "empty but complete".
   TimeUnionDB::AggregateResult agg;
   ASSERT_TRUE(
-      db->AggregateQuery({matcher}, 0, t1, 2000, AggFn::kMax, &agg).ok());
+      db->AggregateQuery(ReadRequest::Aggregate({matcher}, 0, t1, 2000,
+                                                AggFn::kMax), &agg).ok());
   EXPECT_FALSE(agg.complete);
   EXPECT_EQ(agg.missing_ranges, raw.missing_ranges);
   EXPECT_EQ(agg.stats.rollup_buckets_served, 0u);
@@ -670,13 +671,15 @@ TEST(RollupPersistenceTest, ReopenPreservesRollupsAndDirtySpans) {
 
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
-  ASSERT_TRUE(db->Insert({{"m", "cpu"}}, 0, 0.0, &ref).ok());
-  for (int i = 1; i < kTotal; ++i) {
-    ASSERT_TRUE(db->InsertFast(ref, i * 250LL, 1.0 * i).ok());
-  }
+  ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kTotal; ++i) batch.AddSample(ref, i * 250LL, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
   // Dirty one compacted window, flush so the rewrite reaches L2.
-  ASSERT_TRUE(db->InsertFast(ref, 10'000, 1e6).ok());
+  batch.Clear();
+  batch.AddSample(ref, 10'000, 1e6);
+  ASSERT_TRUE(WriteAll(db.get(), batch).ok());
   ASSERT_TRUE(db->Flush().ok());
 
   const size_t tables = db->time_lsm()->NumRollupTables();
@@ -687,8 +690,9 @@ TEST(RollupPersistenceTest, ReopenPreservesRollupsAndDirtySpans) {
   const auto matcher = TagMatcher::Equal("m", "cpu");
   const int64_t span = kTotal * 250LL;
   TimeUnionDB::AggregateResult before;
-  ASSERT_TRUE(
-      db->AggregateQuery({matcher}, 0, span, 2000, AggFn::kSum, &before).ok());
+  ASSERT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({matcher}, 0, span,
+                                                        2000, AggFn::kSum),
+                                 &before).ok());
 
   db.reset();
   ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
@@ -696,8 +700,9 @@ TEST(RollupPersistenceTest, ReopenPreservesRollupsAndDirtySpans) {
   EXPECT_EQ(db->time_lsm()->NumDirtyRollupPartitions(), dirty);
 
   TimeUnionDB::AggregateResult after;
-  ASSERT_TRUE(
-      db->AggregateQuery({matcher}, 0, span, 2000, AggFn::kSum, &after).ok());
+  ASSERT_TRUE(db->AggregateQuery(ReadRequest::Aggregate({matcher}, 0, span,
+                                                        2000, AggFn::kSum),
+                                 &after).ok());
   ASSERT_EQ(after.series.size(), before.series.size());
   ASSERT_EQ(after.series.size(), 1u);
   EXPECT_EQ(after.series[0].points, before.series[0].points);

@@ -30,10 +30,13 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cloud/fault_injector.h"
+#include "cloud/object_store.h"
 #include "cloud/tiered_env.h"
 #include "core/timeunion_db.h"
 #include "server/client.h"
@@ -41,6 +44,7 @@
 #include "server/server.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
+#include "util/interval_set.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
 
@@ -231,8 +235,7 @@ TEST_F(ServerTest, ConcurrentRoundtripMatchesEmbeddedControl) {
   auto client = Connect("acme");
   ASSERT_NE(client, nullptr);
   ASSERT_TRUE(client->Ping().ok());
-  const auto report = db_->HealthReport();
-  EXPECT_GE(report.server_open_connections, 1u);
+  EXPECT_GE(db_->Metrics().GaugeOr0("server.open_connections"), 1);
 
   // Raw queries: remote reply must match the embedded control byte for
   // byte — same labels (tenant tag stripped), timestamps and values.
@@ -431,7 +434,7 @@ TEST_F(ServerTest, MalformedFramesDoNotPoisonOtherConnections) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   ASSERT_TRUE(reply.remote_status.ok());
   ASSERT_EQ(reply.series.size(), 1u);
-  EXPECT_GE(db_->HealthReport().server_open_connections, 1u);
+  EXPECT_GE(db_->Metrics().GaugeOr0("server.open_connections"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -582,7 +585,7 @@ TEST_F(ServerTest, QuotaExceededIsStructuredReject) {
   EXPECT_EQ(ack.appended, 0u);
   EXPECT_EQ(ack.rejected, 1000u);
   EXPECT_TRUE(client->Ping().ok());
-  EXPECT_GE(db_->HealthReport().server_tenant_rejects, 1u);
+  EXPECT_GE(db_->Metrics().CounterOr0("server.tenant_rejects"), 1u);
 
   // The bucket refills: after a pause a modest burst is admitted again.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -804,6 +807,174 @@ TEST_F(ServerTest, InvalidQueryShapesAreStructuredRejects) {
   EXPECT_EQ(reply.remote_status.code(), Status::Code::kInvalidArgument);
   // The connection survives structured rejects.
   EXPECT_TRUE(client->Ping().ok());
+}
+
+// Strict and partial reads during a slow-tier outage, embedded and through
+// the wire protocol. kStrict fails with Unavailable; kAllowPartial answers
+// with complete == false and missing_ranges that cover every absent row
+// with tight ends and hold no returned row.
+TEST(StrictReadTest, OutageFailsStrictReadsAndBoundsPartialOnes) {
+  const std::string ws = "/tmp/timeunion_test/strict_reads";
+  RemoveDirRecursive(ws);
+  auto fi = std::make_shared<cloud::FaultInjector>(17);
+  DBOptions opts = TestOptions(ws);
+  opts.samples_per_chunk = 4;
+  opts.lsm.memtable_bytes = 8 << 10;
+  opts.lsm.l0_partition_ms = 1000;
+  opts.lsm.l2_partition_ms = 4000;
+  opts.lsm.partition_lower_bound_ms = 1000;
+  opts.lsm.l0_partition_trigger = 1;
+  opts.env_options.slow_sim.fault = fi;
+  opts.env_options.slow_sim.retry.max_attempts = 2;
+  opts.env_options.slow_sim.retry.real_sleep = false;
+  cloud::CircuitBreakerOptions& breaker = opts.env_options.slow_sim.breaker;
+  breaker.enabled = true;
+  breaker.window = 8;
+  breaker.min_samples = 4;
+  breaker.consecutive_failures_to_open = 3;
+  breaker.open_cooldown_us = 3'600'000'000;  // stays open for the test
+
+  // Old rows reach L2 on the slow tier; the last ones stay on the fast
+  // tier. The rows carry the tenant tag so the server can serve them.
+  constexpr int kOld = 2000;
+  constexpr int kTotal = 2100;
+  constexpr int64_t kStepMs = 250;
+  const Labels labels{{server::kTenantTag, "acme"}, {"host", "h"}};
+  std::unique_ptr<TimeUnionDB> db;
+  ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
+  WriteBatch batch;
+  for (int i = 0; i < kOld; ++i) batch.AddSample(labels, i * kStepMs, 1.0 * i);
+  WriteResult written;
+  ASSERT_TRUE(db->Write(batch, &written).ok());
+  ASSERT_TRUE(written.ok());
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_GT(db->time_lsm()->NumL2Partitions(), 0u);
+  batch.Clear();
+  for (int i = kOld; i < kTotal; ++i) {
+    batch.AddSample(labels, i * kStepMs, 1.0 * i);
+  }
+  ASSERT_TRUE(db->Write(batch, &written).ok());
+  ASSERT_TRUE(written.ok());
+
+  // Reopen so no slow-tier reader or cached block predates the outage,
+  // then take the slow tier down and open its breaker.
+  db.reset();
+  ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
+  cloud::FaultRule outage;
+  outage.ops = cloud::kAllFaultOps;
+  outage.probability = 1.0;
+  outage.kind = cloud::FaultRule::Kind::kPermanent;
+  fi->AddRule(outage);
+  cloud::ObjectStore& slow = db->env().slow();
+  for (int i = 0;
+       i < 20 && slow.breaker().state() != cloud::BreakerState::kOpen; ++i) {
+    (void)slow.PutObject("breaker_probe", "x");
+  }
+  ASSERT_EQ(slow.breaker().state(), cloud::BreakerState::kOpen);
+
+  const int64_t t1 = kTotal * kStepMs;
+  constexpr int64_t kAggStepMs = 10'000;
+  const std::vector<TagMatcher> tenant_matchers = {
+      TagMatcher::Equal(server::kTenantTag, "acme"),
+      TagMatcher::Equal("host", "h")};
+  auto range = [&](std::vector<TagMatcher> matchers,
+                   ReadRequest::Strictness strictness) {
+    ReadRequest r = ReadRequest::Range(std::move(matchers), 0, t1);
+    r.strictness = strictness;
+    return r;
+  };
+  auto aggregate = [&](std::vector<TagMatcher> matchers,
+                       ReadRequest::Strictness strictness) {
+    ReadRequest r = ReadRequest::Aggregate(std::move(matchers), 0, t1,
+                                           kAggStepMs, query::AggFn::kMax);
+    r.strictness = strictness;
+    return r;
+  };
+  constexpr auto kStrict = ReadRequest::Strictness::kStrict;
+  constexpr auto kPartial = ReadRequest::Strictness::kAllowPartial;
+
+  // Embedded, strict: the first unreachable table fails the read.
+  QueryResult strict_result;
+  Status s = db->Query(range(tenant_matchers, kStrict), &strict_result);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  TimeUnionDB::AggregateResult strict_agg;
+  s = db->AggregateQuery(aggregate(tenant_matchers, kStrict), &strict_agg);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+
+  // Embedded, partial: the fast-tier rows come back and the gaps are exact.
+  QueryResult partial;
+  ASSERT_TRUE(db->Query(range(tenant_matchers, kPartial), &partial).ok());
+  EXPECT_FALSE(partial.complete);
+  ASSERT_FALSE(partial.missing_ranges.empty());
+  ASSERT_EQ(partial.size(), 1u);
+  std::set<int64_t> returned;
+  for (const compress::Sample& sample : partial[0].samples) {
+    EXPECT_EQ(sample.value, 1.0 * (sample.timestamp / kStepMs));
+    EXPECT_FALSE(util::IntervalsContain(partial.missing_ranges,
+                                        sample.timestamp))
+        << "returned row inside a missing range: " << sample.timestamp;
+    returned.insert(sample.timestamp);
+  }
+  EXPECT_GE(returned.size(), static_cast<size_t>(kTotal - kOld));
+  for (int i = 0; i < kTotal; ++i) {
+    if (returned.count(i * kStepMs) == 0) {
+      EXPECT_TRUE(util::IntervalsContain(partial.missing_ranges, i * kStepMs))
+          << "absent row outside every missing range: " << i * kStepMs;
+    }
+  }
+  for (const auto& [lo, hi] : partial.missing_ranges) {
+    // Tight: each range starts on an absent row and ends right before the
+    // next returned row (or the end of the data).
+    EXPECT_EQ(lo % kStepMs, 0);
+    EXPECT_EQ(returned.count(lo), 0u) << lo;
+    const int64_t next_row = (hi / kStepMs + 1) * kStepMs;
+    EXPECT_TRUE(next_row >= kTotal * kStepMs || returned.count(next_row) > 0)
+        << "range [" << lo << ", " << hi << "] stops short of an absent row";
+  }
+  TimeUnionDB::AggregateResult partial_agg;
+  ASSERT_TRUE(
+      db->AggregateQuery(aggregate(tenant_matchers, kPartial), &partial_agg)
+          .ok());
+  EXPECT_FALSE(partial_agg.complete);
+  EXPECT_EQ(partial_agg.missing_ranges, partial.missing_ranges);
+
+  // Through server::Client: the same answers, with the tenant tag added by
+  // the server.
+  server::Server srv(db.get(), server::ServerOptions{});
+  ASSERT_TRUE(srv.Start().ok());
+  std::unique_ptr<server::Client> client;
+  ASSERT_TRUE(
+      server::Client::Connect("127.0.0.1", srv.port(), "acme", &client).ok());
+  const std::vector<TagMatcher> host = {TagMatcher::Equal("host", "h")};
+  server::QueryReply reply;
+  ASSERT_TRUE(client->Query(range(host, kStrict), &reply).ok());
+  EXPECT_EQ(reply.remote_status.code(), Status::Code::kUnavailable)
+      << reply.remote_status.ToString();
+  ASSERT_TRUE(client->Query(aggregate(host, kStrict), &reply).ok());
+  EXPECT_EQ(reply.remote_status.code(), Status::Code::kUnavailable)
+      << reply.remote_status.ToString();
+
+  ASSERT_TRUE(client->Query(range(host, kPartial), &reply).ok());
+  ASSERT_TRUE(reply.remote_status.ok()) << reply.remote_status.ToString();
+  EXPECT_EQ(reply.missing_ranges, partial.missing_ranges);
+  ASSERT_EQ(reply.series.size(), 1u);
+  EXPECT_EQ(reply.series[0].timestamps.size(), partial[0].samples.size());
+  ASSERT_TRUE(client->Query(aggregate(host, kPartial), &reply).ok());
+  ASSERT_TRUE(reply.remote_status.ok()) << reply.remote_status.ToString();
+  EXPECT_EQ(reply.missing_ranges, partial.missing_ranges);
+
+  // The wire carries strictness as a byte; values past kStrict are a
+  // structured reject, not a read.
+  ASSERT_TRUE(
+      client->Query(range(host, static_cast<ReadRequest::Strictness>(2)),
+                    &reply)
+          .ok());
+  EXPECT_EQ(reply.remote_status.code(), Status::Code::kInvalidArgument);
+  EXPECT_TRUE(client->Ping().ok());
+  client->Close();
+  srv.Shutdown();
+  db.reset();
+  RemoveDirRecursive(ws);
 }
 
 }  // namespace

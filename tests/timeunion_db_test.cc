@@ -6,6 +6,7 @@
 
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "write_all.h"
 
 namespace tu::core {
 namespace {
@@ -13,6 +14,7 @@ namespace {
 using index::Label;
 using index::Labels;
 using index::TagMatcher;
+using query::ReadRequest;
 
 constexpr int64_t kMin = 60 * 1000;
 constexpr int64_t kHour = 60 * kMin;
@@ -49,17 +51,20 @@ class TimeUnionDBTest : public ::testing::Test {
 };
 
 TEST_F(TimeUnionDBTest, InsertAndQuerySingleSeries) {
-  uint64_t ref = 0;
+  WriteBatch batch;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        db_->Insert(SeriesLabels(1, "cpu"), i * kMin, 1.0 * i, &ref).ok());
+    batch.AddSample(SeriesLabels(1, "cpu"), i * kMin, 1.0 * i);
   }
+  WriteResult written;
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written).ok());
+  EXPECT_EQ(written.appended, 100u);
+  EXPECT_EQ(written.resolved_refs.front(), written.resolved_refs.back());
   EXPECT_EQ(db_->NumSeries(), 1u);
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, 100 * kMin,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(
+                  ReadRequest::Range({TagMatcher::Equal("metric", "cpu")}, 0,
+                                     100 * kMin), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 100u);
   for (int i = 0; i < 100; ++i) {
@@ -69,79 +74,86 @@ TEST_F(TimeUnionDBTest, InsertAndQuerySingleSeries) {
 }
 
 TEST_F(TimeUnionDBTest, FastPathMatchesSlowPath) {
-  uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "mem"), 0, 1.0, &ref).ok());
-  for (int i = 1; i < 200; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 + i).ok());
-  }
+  WriteBatch batch;
+  batch.AddSample(SeriesLabels(1, "mem"), 0, 1.0);
+  WriteResult written;
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written).ok());
+  const uint64_t ref = written.resolved_refs[0];
+  batch.Clear();
+  for (int i = 1; i < 200; ++i) batch.AddSample(ref, i * kMin, 1.0 + i);
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
   QueryResult result;
-  ASSERT_TRUE(
-      db_->Query({TagMatcher::Equal("metric", "mem")}, 0, 200 * kMin, &result)
-          .ok());
+  ASSERT_TRUE(db_->Query(
+                  ReadRequest::Range({TagMatcher::Equal("metric", "mem")}, 0,
+                                     200 * kMin), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 200u);
 }
 
-TEST_F(TimeUnionDBTest, InsertFastUnknownRefFails) {
-  EXPECT_TRUE(db_->InsertFast(999, 0, 1.0).IsNotFound());
+TEST_F(TimeUnionDBTest, UnknownRefRowIsRejected) {
+  WriteBatch batch;
+  batch.AddSample(999, 0, 1.0);
+  WriteResult written;
+  EXPECT_TRUE(WriteAll(db_.get(), batch, &written).IsNotFound());
+  EXPECT_EQ(written.rejected, 1u);
+  EXPECT_EQ(written.appended, 0u);
 }
 
 TEST_F(TimeUnionDBTest, MultipleSeriesSelectors) {
-  uint64_t ref = 0;
+  WriteBatch batch;
   for (int host = 0; host < 4; ++host) {
     for (const char* metric : {"cpu", "mem", "disk"}) {
       for (int i = 0; i < 10; ++i) {
-        ASSERT_TRUE(db_->Insert(SeriesLabels(host, metric), i * kMin,
-                                host + i * 0.1, &ref)
-                        .ok());
+        batch.AddSample(SeriesLabels(host, metric), i * kMin, host + i * 0.1);
       }
     }
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
   EXPECT_EQ(db_->NumSeries(), 12u);
 
   QueryResult result;
   // Exact: one host, one metric.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", "host_2"),
-                          TagMatcher::Equal("metric", "cpu")},
-                         0, kHour, &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Equal("hostname", "host_2"),
+                              TagMatcher::Equal("metric", "cpu")}, 0, kHour),
+                         &result).ok());
   EXPECT_EQ(result.size(), 1u);
 
   // Regex across metrics.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", "host_1"),
-                          TagMatcher::Regex("metric", "cpu|mem")},
-                         0, kHour, &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(
+                  ReadRequest::Range({TagMatcher::Equal("hostname", "host_1"),
+                                      TagMatcher::Regex("metric", "cpu|mem")},
+                                     0, kHour), &result).ok());
   EXPECT_EQ(result.size(), 2u);
 
   // Regex prefix (the paper's metric="disk.*" example).
-  ASSERT_TRUE(db_->Query({TagMatcher::Regex("metric", "disk.*")}, 0, kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Regex("metric", "disk.*")}, 0, kHour),
+                         &result).ok());
   EXPECT_EQ(result.size(), 4u);
 
   // No match.
-  ASSERT_TRUE(
-      db_->Query({TagMatcher::Equal("metric", "nope")}, 0, kHour, &result)
-          .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Equal("metric", "nope")}, 0, kHour),
+                         &result).ok());
   EXPECT_TRUE(result.empty());
 }
 
 TEST_F(TimeUnionDBTest, LongRangeSpillsToLsmAndQueriesBack) {
   // 26 hours, 1-minute interval: data flows through L0/L1 into L2.
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 0, 0.0, &ref).ok());
+  ASSERT_TRUE(db_->RegisterSeries(SeriesLabels(1, "cpu"), &ref).ok());
   const int n = 26 * 60;
-  for (int i = 1; i < n; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 * i).ok());
-  }
+  WriteBatch batch;
+  for (int i = 0; i < n; ++i) batch.AddSample(ref, i * kMin, 1.0 * i);
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
   ASSERT_TRUE(db_->Flush().ok());
   EXPECT_GT(db_->time_lsm()->NumL2Partitions(), 0u);
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0,
-                         n * kMin, &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Equal("metric", "cpu")}, 0, n * kMin),
+                         &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -149,29 +161,30 @@ TEST_F(TimeUnionDBTest, LongRangeSpillsToLsmAndQueriesBack) {
   }
 
   // Bounded window query over old (L2) data.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 2 * kHour,
-                         3 * kHour, &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Equal("metric", "cpu")}, 2 * kHour,
+                             3 * kHour), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), 61u);
 }
 
 TEST_F(TimeUnionDBTest, OutOfOrderSamples) {
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 0, 0.0, &ref).ok());
-  for (int i = 1; i < 240; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0).ok());
-  }
+  ASSERT_TRUE(db_->RegisterSeries(SeriesLabels(1, "cpu"), &ref).ok());
+  WriteBatch batch;
+  batch.AddSample(ref, 0, 0.0);
+  for (int i = 1; i < 240; ++i) batch.AddSample(ref, i * kMin, 1.0);
   // In-open-chunk out-of-order + duplicate overwrite.
-  ASSERT_TRUE(db_->InsertFast(ref, 239 * kMin - 30000, 5.0).ok());
-  ASSERT_TRUE(db_->InsertFast(ref, 238 * kMin, 7.0).ok());
+  batch.AddSample(ref, 239 * kMin - 30000, 5.0);
+  batch.AddSample(ref, 238 * kMin, 7.0);
   // Far-in-the-past out-of-order (older than the open chunk).
-  ASSERT_TRUE(db_->InsertFast(ref, 10 * kMin, 9.0).ok());
+  batch.AddSample(ref, 10 * kMin, 9.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, 4 * kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(
+                  ReadRequest::Range({TagMatcher::Equal("metric", "cpu")}, 0,
+                                     4 * kHour), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   std::map<int64_t, double> samples;
   for (const auto& s : result[0].samples) samples[s.timestamp] = s.value;
@@ -190,78 +203,67 @@ TEST_F(TimeUnionDBTest, GroupInsertAndQuery) {
       {{"metric", "cpu"}, {"core", "1"}},
       {{"metric", "mem"}},
   };
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  for (int i = 0; i < 50; ++i) {
-    const std::vector<double> values = {1.0 * i, 2.0 * i, 3.0 * i};
-    if (i == 0) {
-      ASSERT_TRUE(db_->InsertGroup(group_tags, members, i * kMin, values,
-                                   &gref, &slots)
-                      .ok());
-      ASSERT_EQ(slots.size(), 3u);
-    } else {
-      ASSERT_TRUE(db_->InsertGroupFast(gref, slots, i * kMin, values).ok());
-    }
+  WriteBatch batch;
+  batch.AddGroupRow(group_tags, members, 0, {0.0, 0.0, 0.0});
+  WriteResult written;
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written).ok());
+  const WriteResult::ResolvedGroup group = written.resolved_groups[0];
+  ASSERT_EQ(group.slots.size(), 3u);
+  batch.Clear();
+  for (int i = 1; i < 50; ++i) {
+    batch.AddGroupRow(group.group_ref, group.slots, i * kMin,
+                      {1.0 * i, 2.0 * i, 3.0 * i});
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
   EXPECT_EQ(db_->NumGroups(), 1u);
 
   // Query one member by its unique tags.
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", "host_9"),
-                          TagMatcher::Equal("metric", "cpu"),
-                          TagMatcher::Equal("core", "1")},
-                         0, kHour, &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Equal("hostname", "host_9"),
+                              TagMatcher::Equal("metric", "cpu"),
+                              TagMatcher::Equal("core", "1")}, 0, kHour),
+                         &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 50u);
   EXPECT_EQ(result[0].samples[10].value, 20.0);
 
   // Query spanning members: both cores.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Equal("metric", "cpu")}, 0, kHour),
+                         &result).ok());
   EXPECT_EQ(result.size(), 2u);
 
   // Group-tag query returns all members.
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", "host_9")}, 0, kHour,
-                         &result)
-                  .ok());
+  const TagMatcher host = TagMatcher::Equal("hostname", "host_9");
+  ASSERT_TRUE(db_->Query(ReadRequest::Range({host}, 0, kHour), &result).ok());
   EXPECT_EQ(result.size(), 3u);
 }
 
 TEST_F(TimeUnionDBTest, GroupMissingAndNewMembers) {
   const Labels group_tags{{"hostname", "host_5"}};
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
+  WriteBatch batch;
   // Round 0: members A, B.
-  ASSERT_TRUE(db_->InsertGroup(group_tags,
-                               {{{"metric", "a"}}, {{"metric", "b"}}}, 0,
-                               {1.0, 2.0}, &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(group_tags, {{{"metric", "a"}}, {{"metric", "b"}}}, 0,
+                    {1.0, 2.0});
   // Round 1: only A reports (B missing -> NULL).
-  ASSERT_TRUE(db_->InsertGroup(group_tags, {{{"metric", "a"}}}, kMin, {1.5},
-                               &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(group_tags, {{{"metric", "a"}}}, kMin, {1.5});
   // Round 2: new member C joins (backfilled NULLs for rounds 0-1).
-  ASSERT_TRUE(db_->InsertGroup(group_tags,
-                               {{{"metric", "a"}},
-                                {{"metric", "b"}},
-                                {{"metric", "c"}}},
-                               2 * kMin, {1.7, 2.7, 3.7}, &gref, &slots)
-                  .ok());
+  batch.AddGroupRow(group_tags,
+                    {{{"metric", "a"}}, {{"metric", "b"}}, {{"metric", "c"}}},
+                    2 * kMin, {1.7, 2.7, 3.7});
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "b")}, 0, kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range({TagMatcher::Equal("metric", "b")},
+                                            0, kHour), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 2u);  // missing round yields no sample
   EXPECT_EQ(result[0].samples[0].timestamp, 0);
   EXPECT_EQ(result[0].samples[1].timestamp, 2 * kMin);
 
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "c")}, 0, kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range({TagMatcher::Equal("metric", "c")},
+                                            0, kHour), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 1u);
   EXPECT_EQ(result[0].samples[0].timestamp, 2 * kMin);
@@ -273,48 +275,41 @@ TEST_F(TimeUnionDBTest, GroupLongRangeThroughLsm) {
   for (int m = 0; m < 5; ++m) {
     members.push_back(Labels{{"metric", "m" + std::to_string(m)}});
   }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
   const int n = 26 * 60;
+  WriteBatch batch;
   for (int i = 0; i < n; ++i) {
     std::vector<double> values;
     for (int m = 0; m < 5; ++m) values.push_back(m + i * 0.001);
-    if (i == 0) {
-      ASSERT_TRUE(db_->InsertGroup(group_tags, members, 0, values, &gref,
-                                   &slots)
-                      .ok());
-    } else {
-      ASSERT_TRUE(db_->InsertGroupFast(gref, slots, i * kMin, values).ok());
-    }
+    batch.AddGroupRow(group_tags, members, i * kMin, std::move(values));
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
   ASSERT_TRUE(db_->Flush().ok());
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "m3")}, 0, n * kMin,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range({TagMatcher::Equal("metric", "m3")},
+                                            0, n * kMin), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), static_cast<size_t>(n));
   EXPECT_DOUBLE_EQ(result[0].samples[1000].value, 3 + 1000 * 0.001);
 }
 
 TEST_F(TimeUnionDBTest, RetentionPurgesSeries) {
-  uint64_t ref_old = 0, ref_new = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "old"), 0, 1.0, &ref_old).ok());
-  ASSERT_TRUE(
-      db_->Insert(SeriesLabels(1, "new"), 10 * kHour, 1.0, &ref_new).ok());
+  WriteBatch batch;
+  batch.AddSample(SeriesLabels(1, "old"), 0, 1.0);
+  batch.AddSample(SeriesLabels(1, "new"), 10 * kHour, 1.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
   ASSERT_TRUE(db_->Flush().ok());
   ASSERT_TRUE(db_->ApplyRetention(5 * kHour).ok());
 
   EXPECT_EQ(db_->NumSeries(), 1u);
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "old")}, 0, 20 * kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(
+                  ReadRequest::Range({TagMatcher::Equal("metric", "old")}, 0,
+                                     20 * kHour), &result).ok());
   EXPECT_TRUE(result.empty());
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "new")}, 0, 20 * kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(
+                  ReadRequest::Range({TagMatcher::Equal("metric", "new")}, 0,
+                                     20 * kHour), &result).ok());
   EXPECT_EQ(result.size(), 1u);
 }
 
@@ -324,37 +319,40 @@ TEST_F(TimeUnionDBTest, WalRecoveryRestoresUnflushedData) {
   Recreate(opts);
 
   uint64_t ref = 0;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 0, 42.0, &ref).ok());
-  for (int i = 1; i < 10; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 42.0 + i).ok());
-  }
-  uint64_t gref = 0;
-  std::vector<uint32_t> slots;
-  ASSERT_TRUE(db_->InsertGroup({{"hostname", "h"}},
-                               {{{"metric", "g1"}}, {{"metric", "g2"}}}, 0,
-                               {7.0, 8.0}, &gref, &slots)
-                  .ok());
+  ASSERT_TRUE(db_->RegisterSeries(SeriesLabels(1, "cpu"), &ref).ok());
+  WriteBatch batch;
+  for (int i = 0; i < 10; ++i) batch.AddSample(ref, i * kMin, 42.0 + i);
+  batch.AddGroupRow(Labels{{"hostname", "h"}},
+                    {{{"metric", "g1"}}, {{"metric", "g2"}}}, 0, {7.0, 8.0});
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
   // Simulate a crash: drop the DB without Flush(); reopen on the same
   // workspace.
   db_.reset();
   Recreate(opts, /*wipe=*/false);
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Equal("metric", "cpu")}, 0, kHour),
+                         &result).ok());
   ASSERT_EQ(result.size(), 1u);
   ASSERT_EQ(result[0].samples.size(), 10u);
   EXPECT_EQ(result[0].samples[3].value, 45.0);
 
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "g2")}, 0, kHour,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range({TagMatcher::Equal("metric", "g2")},
+                                            0, kHour), &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples[0].value, 8.0);
 
-  // The fast path still works against recovered state.
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 10 * kMin, 99.0, &ref).ok());
+  // The slow path resolves the recovered series to its old reference, and
+  // the fast path still works against recovered state.
+  batch.Clear();
+  batch.AddSample(SeriesLabels(1, "cpu"), 10 * kMin, 99.0);
+  WriteResult written;
+  ASSERT_TRUE(WriteAll(db_.get(), batch, &written).ok());
+  EXPECT_EQ(written.resolved_refs[0], ref);
+  batch.Clear();
+  batch.AddSample(ref, 11 * kMin, 100.0);
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
 }
 
 TEST_F(TimeUnionDBTest, WalRecoverySkipsFlushedData) {
@@ -362,20 +360,20 @@ TEST_F(TimeUnionDBTest, WalRecoverySkipsFlushedData) {
   opts.enable_wal = true;
   Recreate(opts);
 
-  uint64_t ref = 0;
   const int n = 26 * 60;
-  ASSERT_TRUE(db_->Insert(SeriesLabels(1, "cpu"), 0, 0.0, &ref).ok());
-  for (int i = 1; i < n; ++i) {
-    ASSERT_TRUE(db_->InsertFast(ref, i * kMin, 1.0 * i).ok());
+  WriteBatch batch;
+  for (int i = 0; i < n; ++i) {
+    batch.AddSample(SeriesLabels(1, "cpu"), i * kMin, 1.0 * i);
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
   ASSERT_TRUE(db_->Flush().ok());
   db_.reset();
   Recreate(opts, /*wipe=*/false);
 
   QueryResult result;
-  ASSERT_TRUE(db_->Query({TagMatcher::Equal("metric", "cpu")}, 0, n * kMin,
-                         &result)
-                  .ok());
+  ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                             {TagMatcher::Equal("metric", "cpu")}, 0, n * kMin),
+                         &result).ok());
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].samples.size(), static_cast<size_t>(n));
 }
@@ -386,7 +384,7 @@ class DBPropertyTest : public TimeUnionDBTest,
 TEST_P(DBPropertyTest, RandomWorkloadMatchesReference) {
   Random rng(GetParam());
   std::map<std::string, std::map<int64_t, double>> reference;
-  std::map<std::string, uint64_t> refs;
+  WriteBatch batch;
 
   for (int i = 0; i < 3000; ++i) {
     const int host = static_cast<int>(rng.Uniform(5));
@@ -397,12 +395,10 @@ TEST_P(DBPropertyTest, RandomWorkloadMatchesReference) {
     if (rng.OneIn(10)) ts = rng.Uniform(i + 1) * kMin / 10;
     const double v = rng.NextGaussian(50, 10);
     const Labels labels = SeriesLabels(host, metric);
-    const std::string key = index::LabelsKey(labels);
-    uint64_t ref = 0;
-    ASSERT_TRUE(db_->Insert(labels, ts, v, &ref).ok());
-    reference[key][ts] = v;  // newest write wins, like the DB
-    refs[key] = ref;
+    batch.AddSample(labels, ts, v);
+    reference[index::LabelsKey(labels)][ts] = v;  // newest write wins
   }
+  ASSERT_TRUE(WriteAll(db_.get(), batch).ok());
 
   for (const auto& [key, samples] : reference) {
     // key format: hostname$host_X,metric$Y,region$tokyo
@@ -414,10 +410,10 @@ TEST_P(DBPropertyTest, RandomWorkloadMatchesReference) {
     const std::string metric = key.substr(m0, m1 - m0);
 
     QueryResult result;
-    ASSERT_TRUE(db_->Query({TagMatcher::Equal("hostname", host),
-                            TagMatcher::Equal("metric", metric)},
-                           0, 1000 * kMin, &result)
-                    .ok());
+    ASSERT_TRUE(db_->Query(ReadRequest::Range(
+                               {TagMatcher::Equal("hostname", host),
+                                TagMatcher::Equal("metric", metric)}, 0,
+                               1000 * kMin), &result).ok());
     ASSERT_EQ(result.size(), 1u) << key;
     std::map<int64_t, double> got;
     for (const auto& s : result[0].samples) got[s.timestamp] = s.value;

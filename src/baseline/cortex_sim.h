@@ -143,6 +143,13 @@ class TimeUnionRemote {
     std::unordered_map<std::string, uint32_t> slots;
   };
   std::unordered_map<uint64_t, GroupRefs> group_refs_;
+
+  // One row per Write, through a batch and result reused across rows.
+  Status WriteRow();
+  void CacheSlots(const GroupRow& row, const std::vector<uint32_t>& slots,
+                  GroupRefs* refs);
+  core::WriteBatch wb_;
+  core::WriteResult wr_;
 };
 
 }  // namespace tu::baseline

@@ -365,8 +365,7 @@ class TimePartitionedLsm : public ChunkStore {
   Status MaybeMaintain();
   Status CompactOldestL0();
   Status MaybeCompactL1ToL2();
-  Status CompactL1WindowToL2(int64_t w_start, int64_t w_end,
-                             std::vector<Partition> inputs);
+  Status CompactL1WindowToL2(int64_t w_start, int64_t w_end);
   Status MergePatchesIfNeeded();
   Status MergeEntryPatches(size_t partition_index, size_t entry_index);
   Status RunDynamicSizeControl();

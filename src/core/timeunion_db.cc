@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <regex>
 
 #include <chrono>
@@ -226,23 +225,30 @@ Status TimeUnionDB::Init() {
   }
   if (options_.enable_wal) {
     lsm_options.persist_manifest = true;
-    lsm_options.on_flush = [this](const Slice& user_key, const Slice& value) {
-      // §3.3: when a KV reaches level 0, log a flush mark with the chunk's
-      // embedded sequence id so earlier WAL records become purgeable.
-      uint64_t chunk_seq = 0;
-      Slice payload = lsm::ChunkValuePayload(value);
-      if (GetVarint64(&payload, &chunk_seq)) {
-        WalRecord mark;
-        mark.type = WalRecordType::kFlushMark;
-        mark.id = lsm::ChunkKeyId(user_key);
-        mark.seq = chunk_seq;
-        // wal_ is detached during WAL replay (RecoverFromWal), and replayed
-        // samples can fill a memtable and flush from right here. Skipping
-        // the mark is safe: the records stay replayable and a re-replay of
-        // already-flushed samples is idempotent under chunk-seq dedup.
-        if (wal_) wal_->Append(mark);
-      }
-    };
+    lsm_options.on_flush =
+        [this](const std::vector<std::pair<Slice, Slice>>& flushed) {
+          // §3.3: once chunks reach level 0, log one flush mark per id with
+          // the newest embedded chunk seq, so the WAL segments holding
+          // their samples can be dropped.
+          std::unordered_map<uint64_t, uint64_t> newest;
+          for (const auto& [user_key, value] : flushed) {
+            uint64_t chunk_seq = 0;
+            Slice payload = lsm::ChunkValuePayload(value);
+            if (!GetVarint64(&payload, &chunk_seq)) continue;
+            uint64_t& seq = newest[lsm::ChunkKeyId(user_key)];
+            seq = std::max(seq, chunk_seq);
+          }
+          std::vector<WalRecord> marks;
+          marks.reserve(newest.size());
+          for (const auto& [id, seq] : newest) {
+            WalRecord mark;
+            mark.type = WalRecordType::kFlushMark;
+            mark.id = id;
+            mark.seq = seq;
+            marks.push_back(std::move(mark));
+          }
+          LogFlushMarks(marks);
+        };
   }
   auto time_lsm = std::make_unique<lsm::TimePartitionedLsm>(
       env_.get(), "lsm", lsm_options, block_cache_.get());
@@ -250,8 +256,8 @@ Status TimeUnionDB::Init() {
   lsm_ = std::move(time_lsm);
   Status open_status;
   if (options_.enable_wal) {
-    wal_ = std::make_unique<WalWriter>(&env_->fast(), "WAL");
-    TU_RETURN_IF_ERROR(wal_->Open());
+    wal_ = std::make_unique<WalWriter>(&env_->fast(), "WAL",
+                                       options_.wal_segment_bytes);
     TU_RETURN_IF_ERROR(lsm_->Open());
     open_status = RecoverFromWal();
   } else {
@@ -294,7 +300,6 @@ Status TimeUnionDB::StartMaintenance() {
         // Budgeted integrity increment: verify a slice of the table set,
         // resuming at the persisted cursor (DBOptions::scrub).
         if (scrubber_ && options_.scrub.enabled) scrubber_->Tick();
-        if (wal_) wal_->Purge();
         AdviseMemoryRelease();
         if (options_.metrics.enabled && options_.metrics.emit_jsonl) {
           EmitMetricsLine();
@@ -323,45 +328,73 @@ Status TimeUnionDB::MaybeLog(const WalRecord& record) {
     return append_status;
   }
   if (timed) h_wal_append_->Observe(obs::MonotonicUs() - append_start_us);
-  // Inline purge with hysteresis: a purge can only drop records whose
-  // chunks already reached level 0, so when most of the log is still
-  // live, purging at a fixed size threshold degenerates into rewriting
-  // the whole log on every append. Only purge once the log has doubled
-  // past the last purge's result; try_lock skips if a purge is running.
-  const uint64_t written = wal_->bytes_written();
-  if (written > options_.wal_purge_bytes &&
-      written > 2 * wal_post_purge_bytes_.load(std::memory_order_relaxed)) {
-    std::unique_lock<std::mutex> purge_lock(wal_purge_mu_, std::try_to_lock);
-    if (purge_lock.owns_lock()) {
-      TU_RETURN_IF_ERROR(wal_->Purge());
-      wal_post_purge_bytes_.store(wal_->bytes_written(),
-                                  std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void TimeUnionDB::LogFlushMarks(const std::vector<WalRecord>& marks) {
+  if (marks.empty()) return;
+  // A failed mark append only delays dropping segments (the records stay
+  // replayable, and re-replaying flushed samples is idempotent); the
+  // writer latches the poison and the next write reports it.
+  wal_->AppendBatch(marks.data(), marks.size());
+}
+
+void TimeUnionDB::RelievePinnedSegment() {
+  // A series that stopped reporting, or reports slowly, keeps its chunk
+  // open and with it the oldest WAL segment and every later one. Close the
+  // open chunks that still hold samples of the oldest segment; their flush
+  // marks follow when the memtable reaches level 0. Samples already in a
+  // closed chunk wait for that flush anyway.
+  for (const auto& [id, seq] : wal_->TakePinningIds()) {
+    EntryShard& es = EntryShardFor(id);
+    std::shared_lock<std::shared_mutex> shard_lock(es.mu);
+    std::lock_guard<std::mutex> entry_lock(append_locks_.For(id));
+    bool flushed = false;
+    Status s;
+    if (auto series = es.series.find(id); series != es.series.end()) {
+      if (seq > series->second.head->closed_seq()) {
+        s = FlushSeriesChunk(series->second.head.get(), &flushed);
+      }
+    } else if (auto group = es.groups.find(id); group != es.groups.end()) {
+      if (seq > group->second.head->closed_seq()) {
+        s = FlushGroupChunk(&group->second, &flushed);
+      }
+    }
+    if (!s.ok()) {
+      error_handler_.OnBackgroundError(BgErrorScope::kFlush, s,
+                                       SteadyNowMs());
+      return;
     }
   }
-  return Status::OK();
 }
 
 Status TimeUnionDB::RecoverFromWal() {
   recovery_report_ = RecoveryReport{};
-  // Pass 1: newest flush mark per id — samples at or below it are already
-  // safe in the (manifest-recovered) LSM.
-  std::map<uint64_t, uint64_t> flushed;
-  TU_RETURN_IF_ERROR(
-      ReplayWal(&env_->fast(), "WAL", [&](const WalRecord& r) -> Status {
-        if (r.type == WalRecordType::kFlushMark) {
-          flushed[r.id] = std::max(flushed[r.id], r.seq);
-        }
-        return Status::OK();
-      }));
-
-  // Pass 2: rebuild registries, heads and unflushed samples. WAL logging
-  // is suppressed during replay by temporarily detaching the writer.
-  // Replay is single-threaded (maintenance has not started), but takes the
-  // normal locks so the code stays valid under any future overlap.
-  auto saved_wal = std::move(wal_);
+  // The writer hands over the registrations, then each id's newest flushed
+  // seq (samples at or below it are already safe in the manifest-recovered
+  // LSM), then the samples those marks do not cover. Each replayed sample
+  // keeps the seq it was logged with, so the flush marks of the chunks the
+  // replay itself flushes cover the segments that hold it. Replay is
+  // single-threaded (maintenance has not started), but takes the normal
+  // locks so the code stays valid under any future overlap.
+  //
+  // Samples of an id with no registration are skipped: their registration
+  // was lost (damage in the registration log, or a power loss that kept
+  // unsynced sample frames but not the registration frames before them),
+  // and no such sample was acknowledged as durable, since Sync and the
+  // seal sync the registration log first. Their ids are never handed out
+  // again, and a flush mark retires their samples from the log.
+  std::unordered_map<uint64_t, uint64_t> unknown;  // id -> newest seq
+  uint64_t skipped = 0;
+  auto skip_unknown = [&](const WalRecord& r) {
+    uint64_t& seq = unknown[r.id];
+    seq = std::max(seq, r.seq);
+    ++skipped;
+    return Status::OK();
+  };
   WalReplayStats replay_stats;
   Status replay_status =
-      ReplayWal(&env_->fast(), "WAL", [&](const WalRecord& r) -> Status {
+      wal_->Open([&](const WalRecord& r) -> Status {
         switch (r.type) {
           case WalRecordType::kRegisterSeries: {
             std::lock_guard<std::mutex> reg_lock(reg_mu_);
@@ -438,36 +471,71 @@ Status TimeUnionDB::RecoverFromWal() {
             return Status::OK();
           }
           case WalRecordType::kSample: {
-            auto it = flushed.find(r.id);
-            if (it != flushed.end() && r.seq <= it->second) return Status::OK();
             EntryShard& es = EntryShardFor(r.id);
             std::shared_lock<std::shared_mutex> shard_lock(es.mu);
             auto found = es.series.find(r.id);
-            if (found == es.series.end()) {
-              return Status::Corruption("wal sample before register");
-            }
+            if (found == es.series.end()) return skip_unknown(r);
             std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
+            if (r.seq > 0) found->second.head->RestoreSeq(r.seq - 1);
             return AppendToSeries(&found->second, r.ts, r.value);
           }
           case WalRecordType::kGroupSample: {
-            auto it = flushed.find(r.id);
-            if (it != flushed.end() && r.seq <= it->second) return Status::OK();
             EntryShard& es = EntryShardFor(r.id);
             std::shared_lock<std::shared_mutex> shard_lock(es.mu);
             auto found = es.groups.find(r.id);
-            if (found == es.groups.end()) {
-              return Status::Corruption("wal group sample before register");
-            }
+            if (found == es.groups.end()) return skip_unknown(r);
             std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
+            mem::GroupHead* head = found->second.head.get();
+            for (uint32_t slot : r.slots) {
+              // A member registration lost the same way: the row's seq is
+              // taken, so the group's next chunk mark retires it.
+              if (slot >= head->num_members()) {
+                head->RestoreSeq(r.seq);
+                ++skipped;
+                return Status::OK();
+              }
+            }
+            if (r.seq > 0) head->RestoreSeq(r.seq - 1);
             return AppendRowToGroup(&found->second, r.slots, r.ts, r.values);
           }
-          case WalRecordType::kFlushMark:
+          case WalRecordType::kFlushMark: {
+            // Sequence ids continue after the flushed ones, so no mark of
+            // the earlier process covers a record this one logs.
+            EntryShard& es = EntryShardFor(r.id);
+            std::shared_lock<std::shared_mutex> shard_lock(es.mu);
+            std::lock_guard<std::mutex> entry_lock(append_locks_.For(r.id));
+            auto series = es.series.find(r.id);
+            if (series != es.series.end()) {
+              series->second.head->RestoreSeq(r.seq);
+            }
+            auto group = es.groups.find(r.id);
+            if (group != es.groups.end()) group->second.head->RestoreSeq(r.seq);
+            if (series == es.series.end() && group == es.groups.end()) {
+              unknown.emplace(r.id, 0);  // a retired id: never reuse it
+            }
             return Status::OK();
+          }
         }
         return Status::OK();
       },
       &replay_stats);
-  wal_ = std::move(saved_wal);
+  if (replay_status.ok() && !unknown.empty()) {
+    std::vector<WalRecord> marks;
+    {
+      std::lock_guard<std::mutex> reg_lock(reg_mu_);
+      for (const auto& [id, seq] : unknown) {
+        next_id_ = std::max(next_id_, id + 1);
+        if (seq == 0) continue;
+        WalRecord mark;
+        mark.type = WalRecordType::kFlushMark;
+        mark.id = id;
+        mark.seq = seq;
+        marks.push_back(std::move(mark));
+      }
+    }
+    LogFlushMarks(marks);
+  }
+  replay_stats.records_dropped += skipped;
   recovery_report_.wal = replay_stats;
   if (time_lsm_ != nullptr) {
     recovery_report_.tables_quarantined =
@@ -818,11 +886,6 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
     // after the WAL. Clients that sort their batches by ref degenerate to
     // one acquisition per series.
     const size_t stripe = append_locks_.IndexFor(ref);
-    const bool timed =
-        h_ingest_append_ != nullptr &&
-        ((sample_cells_[stripe].v.load(std::memory_order_relaxed) + 1) & 63) ==
-            0;
-    const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
     EntryShard& es = EntryShardFor(ref);
     std::shared_lock<std::shared_mutex> shard_lock(es.mu);
     auto it = es.series.find(ref);
@@ -836,9 +899,20 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
     {
       std::lock_guard<std::mutex> entry_lock(append_locks_.MutexAt(stripe));
       for (size_t k = i; k < run_end; ++k) {
+        // Same 1-in-64 per-stripe tick as AppendOneByRef, read exactly under
+        // the stripe lock: the selected append alone is timed, so a batch
+        // feeds the histogram as many observations as one-row writes.
+        const bool timed =
+            h_ingest_append_ != nullptr &&
+            ((sample_cells_[stripe].v.load(std::memory_order_relaxed) + 1) &
+             63) == 0;
+        const uint64_t append_start_us = timed ? obs::MonotonicUs() : 0;
         if (sample_cells_ != nullptr) sample_cells_[stripe].Bump();
         Status s = AppendToSeries(&it->second, batch.sample_ts[k],
                                   batch.sample_values[k]);
+        if (timed) [[unlikely]] {
+          h_ingest_append_->Observe(obs::MonotonicUs() - append_start_us);
+        }
         if (!s.ok()) {
           RowReject(result, s);
           continue;
@@ -854,9 +928,6 @@ void TimeUnionDB::WriteRefSamples(const WriteBatch& batch, WriteResult* result,
           wal_out->push_back(std::move(rec));
         }
       }
-    }
-    if (timed) [[unlikely]] {
-      h_ingest_append_->Observe(obs::MonotonicUs() - append_start_us);
     }
     i = run_end;
   }
@@ -948,18 +1019,9 @@ Status TimeUnionDB::Write(const WriteBatch& batch, WriteResult* result) {
       return ws;
     }
     if (timed) h_wal_append_->Observe(obs::MonotonicUs() - append_start_us);
-    // Inline purge with hysteresis (same policy as MaybeLog): only once
-    // the log has doubled past the last purge's result.
-    const uint64_t written = wal_->bytes_written();
-    if (written > options_.wal_purge_bytes &&
-        written > 2 * wal_post_purge_bytes_.load(std::memory_order_relaxed)) {
-      std::unique_lock<std::mutex> purge_lock(wal_purge_mu_, std::try_to_lock);
-      if (purge_lock.owns_lock()) {
-        TU_RETURN_IF_ERROR(wal_->Purge());
-        wal_post_purge_bytes_.store(wal_->bytes_written(),
-                                    std::memory_order_relaxed);
-      }
-    }
+    // One relaxed load per batch; true about once per sealed segment while
+    // a series that stopped reporting holds the oldest segment.
+    if (wal_->pinning_due()) RelievePinnedSegment();
   }
   return Status::OK();
 }
@@ -1571,7 +1633,7 @@ Status TimeUnionDB::Flush() {
   }
   TU_RETURN_IF_ERROR(lsm_->FlushAll());
   if (wal_) {
-    TU_RETURN_IF_ERROR(wal_->Sync());
+    TU_RETURN_IF_ERROR(wal_->Seal());
   }
   return Status::OK();
 }
@@ -1582,6 +1644,18 @@ Status TimeUnionDB::ApplyRetention(int64_t watermark) {
   // while that shard's dead entries are erased.
   std::lock_guard<std::mutex> reg_lock(reg_mu_);
   TU_RETURN_IF_ERROR(lsm_->ApplyRetention(watermark));
+  // A retired head's unflushed samples are below the watermark and gone;
+  // a flush mark at its seq lets the WAL drop their segments too (and
+  // keeps replay from resurrecting them).
+  std::vector<WalRecord> retired;
+  auto retire = [&](uint64_t id, uint64_t seq) {
+    if (!wal_ || seq == 0) return;
+    WalRecord mark;
+    mark.type = WalRecordType::kFlushMark;
+    mark.id = id;
+    mark.seq = seq;
+    retired.push_back(std::move(mark));
+  };
 
   // Purge memory objects whose newest sample is older than the watermark
   // (§3.3 data retention).
@@ -1594,6 +1668,7 @@ Status TimeUnionDB::ApplyRetention(int64_t watermark) {
       if (it->second.head->last_ts() != INT64_MIN &&
           it->second.head->last_ts() < watermark) {
         TU_RETURN_IF_ERROR(index_->Remove(it->first, it->second.labels));
+        retire(it->first, it->second.head->seq_id());
         const std::string key = index::LabelsKey(it->second.labels);
         {
           KeyShard& ks = KeyShardFor(key);
@@ -1612,6 +1687,7 @@ Status TimeUnionDB::ApplyRetention(int64_t watermark) {
         for (const Labels& member : it->second.member_labels) {
           TU_RETURN_IF_ERROR(index_->Remove(it->first, member));
         }
+        retire(it->first, it->second.head->seq_id());
         const std::string key = index::LabelsKey(it->second.group_labels);
         {
           KeyShard& ks = KeyShardFor(key);
@@ -1624,6 +1700,7 @@ Status TimeUnionDB::ApplyRetention(int64_t watermark) {
       }
     }
   }
+  LogFlushMarks(std::move(retired));
   return Status::OK();
 }
 
@@ -1685,6 +1762,11 @@ obs::MetricsSnapshot TimeUnionDB::Metrics() const {
   // rather than a registry counter, so they fold in here like the other
   // external totals.
   add_c("ingest.samples", SumSampleCells());
+  // WAL segment state (zeros without a WAL, so the names are always there).
+  add_g("wal.live_segments",
+        wal_ ? static_cast<int64_t>(wal_->live_segments()) : 0);
+  add_g("wal.live_bytes", wal_ ? static_cast<int64_t>(wal_->live_bytes()) : 0);
+  add_c("wal.segments_dropped", wal_ ? wal_->segments_dropped() : 0);
 
   auto add_tier = [&](const std::string& prefix,
                       const cloud::TierCounters& c) {

@@ -91,8 +91,9 @@ struct DBOptions {
 
   /// §3.3 logging scheme. Off for pure benchmarks.
   bool enable_wal = false;
-  /// Purge the WAL when it exceeds this size.
-  uint64_t wal_purge_bytes = 16 << 20;
+  /// Seal the active WAL segment once it reaches this size; sealed
+  /// segments are deleted whole once flush marks cover them.
+  uint64_t wal_segment_bytes = 16 << 20;
 
   /// Fast-tier budget backpressure. During a slow-tier outage deferred L2
   /// uploads park on the fast tier, so unbounded ingest would eventually
@@ -149,7 +150,7 @@ struct DBOptions {
   /// Data retention window (0 = keep everything); see ApplyRetention.
   int64_t retention_ms = 0;
   /// Run the §3.3 background maintenance worker (periodic retention,
-  /// WAL purge, mmap release hints).
+  /// mmap release hints).
   bool background_maintenance = false;
   int64_t maintenance_interval_ms = 1000;
   /// Clock for the retention watermark (tests inject a virtual clock).
@@ -314,8 +315,10 @@ class TimeUnionDB {
   // -- Maintenance ----------------------------------------------------------
 
   /// Flushes all open chunks and memtables down the LSM (test/bench
-  /// boundary; production relies on chunk-full flushing). Walks the shards
-  /// one entry at a time; concurrent inserts are not blocked globally.
+  /// boundary; production relies on chunk-full flushing), then seals the
+  /// WAL's active segment, which syncs it and drops the segments the flush
+  /// covered. Walks the shards one entry at a time; concurrent inserts are
+  /// not blocked globally.
   Status Flush();
 
   /// Syncs the WAL to stable storage. A sample is only crash-durable
@@ -508,6 +511,12 @@ class TimeUnionDB {
   Status AdmitWrite(uint64_t num_samples);
 
   Status MaybeLog(const WalRecord& record);
+  /// Logs flush marks (one per id, its newest seq) in a single
+  /// AppendBatch; a failure only delays dropping segments.
+  void LogFlushMarks(const std::vector<WalRecord>& marks);
+  /// Closes the open chunks of the ids that pin the oldest WAL segment
+  /// once the live log passes its limit (WalWriter::TakePinningIds).
+  void RelievePinnedSegment();
 
   /// One recovery probe: WAL rotation if poisoned, then retained
   /// flush/maintenance retry; reports the outcome to error_handler_.
@@ -536,10 +545,6 @@ class TimeUnionDB {
   lsm::TimePartitionedLsm* time_lsm_ = nullptr;  // borrowed view of lsm_
   lsm::LeveledLsm* leveled_lsm_ = nullptr;       // borrowed view of lsm_
   std::unique_ptr<WalWriter> wal_;
-  /// Gates the inline WAL purge: log size after the last purge (hysteresis
-  /// baseline) and a try-lock so only one thread rewrites at a time.
-  std::mutex wal_purge_mu_;
-  std::atomic<uint64_t> wal_post_purge_bytes_{0};
 
   /// Lock hierarchy (acquire strictly in this order, release any order):
   ///   reg_mu_ → shard mu (one at a time; EntryShard before KeyShard when

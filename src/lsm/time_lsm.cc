@@ -776,15 +776,17 @@ Status TimePartitionedLsm::FlushMemTable(MemTable* mem) {
   if (trace_ != nullptr) {
     trace_->Record("flush", "partitions=" + std::to_string(buckets.size()));
   }
-  // Flush marks (the §3.3 WAL purge hook) only after the flushed tables are
-  // durably referenced: a crash before this point keeps the WAL records
-  // live, so replay rebuilds what the flush had not yet committed.
+  // Flush marks (the §3.3 WAL segment-drop hook) only after the flushed
+  // tables are durably referenced: a crash before this point keeps the WAL
+  // records live, so replay rebuilds what the flush had not yet committed.
   if (options_.on_flush) {
+    std::vector<std::pair<Slice, Slice>> flushed;
     for (const auto& [part_start, entries] : buckets) {
       for (const auto& [ikey, value] : entries) {
-        options_.on_flush(InternalKeyUserKey(ikey), value);
+        flushed.emplace_back(InternalKeyUserKey(ikey), value);
       }
     }
+    options_.on_flush(flushed);
   }
   return Status::OK();
 }

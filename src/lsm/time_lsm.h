@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/tiered_env.h"
@@ -76,9 +77,12 @@ struct TimeLsmOptions {
   std::vector<int64_t> rollup_granularities_ms;
   /// Flush immutable memtables on a background worker (immutable queue).
   bool background_flush = false;
-  /// Invoked for every key-value pair as it reaches level 0 — the hook the
-  /// §3.3 logging scheme uses to write flush-mark records.
-  std::function<void(const Slice& user_key, const Slice& value)> on_flush;
+  /// Invoked once per memtable flush, after the flushed tables are durably
+  /// referenced, with the (user key, value) of every pair that reached
+  /// level 0 — the hook the §3.3 logging scheme uses to write flush-mark
+  /// records.
+  std::function<void(const std::vector<std::pair<Slice, Slice>>& flushed)>
+      on_flush;
   /// Invoked (from the failing thread, no LSM locks held) whenever a
   /// background flush or maintenance pass fails, with the stage that
   /// failed; flush/compaction errors are also latched in

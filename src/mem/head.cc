@@ -73,22 +73,25 @@ Status SeriesHead::MergeIntoOpen(int64_t ts, double value,
 Status SeriesHead::Append(int64_t ts, double value, int64_t partition_end,
                           AppendResult* result, bool* too_old) {
   *too_old = false;
-  ++seq_id_;
 
   if (open_ && open_->count > 0) {
     if (ts < open_->first_ts) {
       // Older than the open chunk: caller routes to the LSM directly.
+      ++seq_id_;
       *too_old = true;
       *result = AppendResult::kNeedsFlush;
       return Status::OK();
     }
     if (ts <= open_->last_ts) {
       // Inside the open chunk range: merge in place.
+      ++seq_id_;
       Status s = MergeIntoOpen(ts, value, result);
       if (s.ok() && ts > last_ts_) last_ts_ = ts;
       return s;
     }
     if (ts >= open_->partition_end || !open_->builder->HasSpace()) {
+      // No seq is taken: the chunk the caller closes now carries the seq
+      // of its newest sample, and the retried append takes the next one.
       *result = AppendResult::kNeedsFlush;
       return Status::OK();
     }
@@ -97,6 +100,7 @@ Status SeriesHead::Append(int64_t ts, double value, int64_t partition_end,
   if (!open_) {
     TU_RETURN_IF_ERROR(OpenNewChunk(partition_end));
   }
+  ++seq_id_;
   if (open_->count == 0) {
     open_->first_ts = ts;
     open_->partition_end = partition_end;
@@ -117,6 +121,7 @@ bool SeriesHead::CloseChunk(std::string* payload, int64_t* first_ts) {
     *first_ts = overflow_first_ts_;
     overflow_payload_.clear();
     has_overflow_ = false;
+    closed_seq_ = seq_id_;
     return true;
   }
   if (!open_ || open_->count == 0) {
@@ -134,6 +139,7 @@ bool SeriesHead::CloseChunk(std::string* payload, int64_t* first_ts) {
   *first_ts = open_->first_ts;
   chunks_->Free(open_->slot);
   open_.reset();
+  closed_seq_ = seq_id_;
   return true;
 }
 
@@ -371,7 +377,6 @@ Status GroupHead::InsertRow(int64_t ts,
                             int64_t partition_end, AppendResult* result,
                             bool* too_old) {
   *too_old = false;
-  ++seq_id_;
 
   std::vector<std::optional<double>> row_values(members_.size());
   for (size_t i = 0; i < member_indexes.size(); ++i) {
@@ -380,22 +385,26 @@ Status GroupHead::InsertRow(int64_t ts,
 
   if (open_count_ > 0) {
     if (ts < first_ts_) {
+      ++seq_id_;
       *too_old = true;
       *result = AppendResult::kNeedsFlush;
       return Status::OK();
     }
     if (ts <= last_ts_) {
+      ++seq_id_;
       Status s = MergeRowIntoOpen(ts, row_values, result);
       if (s.ok() && ts > last_ts_) last_ts_ = ts;
       return s;
     }
     if (ts >= partition_end_ || !RowFits()) {
+      // No seq is taken; see SeriesHead::Append.
       *result = AppendResult::kNeedsFlush;
       return Status::OK();
     }
   }
 
   TU_RETURN_IF_ERROR(EnsureOpen(partition_end));
+  ++seq_id_;
   if (open_count_ == 0) {
     first_ts_ = ts;
     partition_end_ = partition_end;
@@ -424,6 +433,7 @@ bool GroupHead::CloseChunk(std::string* payload, int64_t* first_ts) {
     *first_ts = overflow_first_ts_;
     overflow_payload_.clear();
     has_overflow_ = false;
+    closed_seq_ = seq_id_;
     return true;
   }
   if (open_count_ == 0) {
@@ -457,6 +467,7 @@ bool GroupHead::CloseChunk(std::string* payload, int64_t* first_ts) {
                                 ts_writer_->BytesUsed(), cols, payload);
   *first_ts = first_ts_;
   ReleaseOpen();
+  closed_seq_ = seq_id_;
   return true;
 }
 

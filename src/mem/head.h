@@ -17,6 +17,7 @@
 // different entry locks may allocate/write chunks concurrently.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -52,6 +53,16 @@ class SeriesHead {
   uint64_t id() const { return id_; }
   uint64_t tag_offset() const { return tag_offset_; }
   uint64_t seq_id() const { return seq_id_; }
+  /// WAL recovery: number the next append after `seq`. Replay passes each
+  /// flushed seq of an earlier process, so new records are never covered
+  /// by its marks, and one less than each replayed record's seq, so the
+  /// record keeps the seq it was logged with and the flush marks of the
+  /// chunks it lands in cover it. A seq is taken only by a sample the head
+  /// accepts (a chunk closed for kNeedsFlush carries its newest sample's).
+  void RestoreSeq(uint64_t seq) { seq_id_ = std::max(seq_id_, seq); }
+  /// The seq of the last chunk CloseChunk returned (0 before the first):
+  /// samples at or below it have left the open chunk.
+  uint64_t closed_seq() const { return closed_seq_; }
   int64_t last_ts() const { return last_ts_; }
   bool has_open_chunk() const { return open_ != nullptr; }
   int64_t open_first_ts() const { return open_ ? open_->first_ts : 0; }
@@ -106,6 +117,7 @@ class SeriesHead {
   int64_t overflow_first_ts_ = 0;
   bool has_overflow_ = false;
   uint64_t seq_id_ = 0;
+  uint64_t closed_seq_ = 0;
   int64_t last_ts_ = INT64_MIN;
 };
 
@@ -127,6 +139,10 @@ class GroupHead {
   uint64_t id() const { return id_; }
   uint64_t group_tag_offset() const { return group_tag_offset_; }
   uint64_t seq_id() const { return seq_id_; }
+  /// See SeriesHead::RestoreSeq.
+  void RestoreSeq(uint64_t seq) { seq_id_ = std::max(seq_id_, seq); }
+  /// See SeriesHead::closed_seq.
+  uint64_t closed_seq() const { return closed_seq_; }
   int64_t last_ts() const { return last_ts_; }
   bool has_open_chunk() const { return open_count_ > 0 || ts_slot_valid_; }
   int64_t open_first_ts() const { return first_ts_; }
@@ -207,6 +223,7 @@ class GroupHead {
   int64_t partition_end_ = 0;
 
   uint64_t seq_id_ = 0;
+  uint64_t closed_seq_ = 0;
   int64_t last_ts_ = INT64_MIN;
 };
 

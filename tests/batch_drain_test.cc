@@ -27,6 +27,7 @@
 #include "util/mmap_file.h"
 #include "util/random.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -113,7 +114,7 @@ std::vector<compress::Sample> DrainBatches(core::SampleIterator* iter) {
 class BatchDrainDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BatchDrainDifferentialTest, BatchPathMatchesScalarModel) {
-  const std::string ws = "/tmp/timeunion_test/batch_drain_diff";
+  const std::string ws = TestDir("batch_drain_diff");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -257,7 +258,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchDrainDifferentialTest,
 // next_seq_), the rewrite's newer seq keeps outranking the merged window —
 // the differential oracle must match bitwise with no skip list.
 TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
-  const std::string ws = "/tmp/timeunion_test/batch_drain_restamp";
+  const std::string ws = TestDir("batch_drain_restamp");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -374,7 +375,7 @@ TEST(CompactionRestampTest, SingleRowRewriteIntoCompactedWindowWins) {
 // Breaker open: the batch drain must agree with the materialized entry
 // point on both the surviving samples and the reported gap spans.
 TEST(BatchDrainPartialReadTest, BreakerOpenBatchesMatchMaterialized) {
-  const std::string ws = "/tmp/timeunion_test/batch_drain_partial";
+  const std::string ws = TestDir("batch_drain_partial");
   RemoveDirRecursive(ws);
   auto fi = std::make_shared<FaultInjector>(29);
   DBOptions opts = SmallPartitionOptions(ws);
@@ -436,7 +437,7 @@ TEST(BatchDrainPartialReadTest, BreakerOpenBatchesMatchMaterialized) {
 // A window ending mid-data must both stop at the bound (blocks pruned, no
 // trailing decode) and stay exact under the batch clip.
 TEST(BatchDrainUpperBoundTest, MidDataWindowPrunesAndStaysExact) {
-  const std::string ws = "/tmp/timeunion_test/batch_drain_bound";
+  const std::string ws = TestDir("batch_drain_bound");
   RemoveDirRecursive(ws);
   // Default (large) partitions: the whole series lands in few tables with
   // many data blocks each, so the t1 bound must do its pruning at block

@@ -5,6 +5,7 @@
 #include "cloud/object_store.h"
 #include "cloud/tiered_env.h"
 #include "util/mmap_file.h"
+#include "test_dir.h"
 
 namespace tu::cloud {
 namespace {
@@ -12,7 +13,7 @@ namespace {
 class CloudStorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ws_ = "/tmp/timeunion_test/cloud";
+    ws_ = TestDir("cloud");
     RemoveDirRecursive(ws_);
   }
   void TearDown() override { RemoveDirRecursive(ws_); }

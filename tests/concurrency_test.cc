@@ -14,6 +14,7 @@
 #include "lsm/time_lsm.h"
 #include "util/mmap_file.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -24,7 +25,7 @@ using query::ReadRequest;
 constexpr int64_t kMin = 60 * 1000;
 
 TEST(ConcurrencyTest, BackgroundFlushWithConcurrentQueries) {
-  const std::string ws = "/tmp/timeunion_test/conc_lsm";
+  const std::string ws = TestDir("conc_lsm");
   RemoveDirRecursive(ws);
   cloud::TieredEnv env(ws, cloud::TieredEnvOptions::Instant());
   lsm::BlockCache cache(8 << 20);
@@ -102,7 +103,7 @@ TEST(ConcurrencyTest, BackgroundFlushWithConcurrentQueries) {
 
 TEST(ConcurrencyTest, ParallelInsertersThroughDb) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/conc_db";
+  opts.workspace = TestDir("conc_db");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 32 << 10;
   std::unique_ptr<core::TimeUnionDB> db;
@@ -163,7 +164,7 @@ void ExpectCompleteSeries(const core::QueryResult& result, size_t expected) {
 // path must lose no samples and keep per-series timestamps monotonic.
 TEST(ConcurrencyTest, MultiWriterDisjointSeriesLosesNothing) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/conc_disjoint";
+  opts.workspace = TestDir("conc_disjoint");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 32 << 10;
   std::unique_ptr<core::TimeUnionDB> db;
@@ -212,7 +213,7 @@ TEST(ConcurrencyTest, MultiWriterDisjointSeriesLosesNothing) {
 // path — either way nothing is lost.
 TEST(ConcurrencyTest, MultiWriterSharedSeriesLosesNothing) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/conc_shared";
+  opts.workspace = TestDir("conc_shared");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 32 << 10;
   std::unique_ptr<core::TimeUnionDB> db;
@@ -256,7 +257,7 @@ TEST(ConcurrencyTest, MultiWriterSharedSeriesLosesNothing) {
 // series register concurrently.
 TEST(ConcurrencyTest, QueriesDuringSlowPathRegistration) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/conc_register";
+  opts.workspace = TestDir("conc_register");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 32 << 10;
   std::unique_ptr<core::TimeUnionDB> db;
@@ -315,7 +316,7 @@ TEST(ConcurrencyTest, QueriesDuringSlowPathRegistration) {
 // watermark sits below every inserted timestamp, so no sample may vanish.
 TEST(ConcurrencyTest, ConcurrentFlushAndRetentionTicks) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/conc_flush";
+  opts.workspace = TestDir("conc_flush");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 32 << 10;
   std::unique_ptr<core::TimeUnionDB> db;
@@ -370,11 +371,81 @@ TEST(ConcurrencyTest, ConcurrentFlushAndRetentionTicks) {
   RemoveDirRecursive(opts.workspace);
 }
 
+// Four writers against background flush workers that log flush marks and
+// drop tiny WAL segments concurrently (the TSan target for the segment
+// tables, the covered-prefix walk and the unlink outside the WAL mutex).
+// Every acked sample must survive a crash-style reopen.
+TEST(ConcurrencyTest, WritersRaceBackgroundSegmentDrops) {
+  core::DBOptions opts;
+  opts.workspace = TestDir("conc_wal_segments");
+  RemoveDirRecursive(opts.workspace);
+  opts.enable_wal = true;
+  opts.wal_segment_bytes = 2 << 10;
+  opts.samples_per_chunk = 4;
+  opts.lsm.memtable_bytes = 8 << 10;
+  opts.lsm.background_flush = true;
+  std::unique_ptr<core::TimeUnionDB> db;
+  ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+
+  const int kThreads = 4;
+  const int kSeriesPerThread = 4;
+  const int kSamples = 300;
+  std::vector<uint64_t> refs(kThreads * kSeriesPerThread);
+  for (size_t i = 0; i < refs.size(); ++i) {
+    ASSERT_TRUE(db->RegisterSeries({{"s", std::to_string(i)}}, &refs[i]).ok());
+  }
+  // A series that stops after two samples pins the first segment until a
+  // writer closes its chunk (WalWriter::TakePinningIds).
+  WriteBatch idle;
+  idle.AddSample({{"s", "idle"}}, 0, 1.0);
+  idle.AddSample({{"s", "idle"}}, kMin, 2.0);
+  ASSERT_TRUE(WriteAll(db.get(), idle).ok());
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      WriteBatch batch;
+      for (int i = 0; i < kSamples; ++i) {
+        batch.Clear();
+        for (int s = 0; s < kSeriesPerThread; ++s) {
+          batch.AddSample(refs[t * kSeriesPerThread + s], i * kMin, 1.0 * i);
+        }
+        if (!WriteAll(db.get(), batch).ok()) ++errors;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  ASSERT_TRUE(db->SyncWal().ok());
+  EXPECT_GT(db->Metrics().CounterOr0("wal.segments_dropped"), 0u);
+
+  db.reset();
+  ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
+  EXPECT_TRUE(db->recovery_report().wal.Clean());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    core::QueryResult result;
+    const ReadRequest request = ReadRequest::Range(
+        {index::TagMatcher::Equal("s", std::to_string(i))}, 0, kSamples * kMin);
+    ASSERT_TRUE(db->Query(request, &result).ok());
+    ExpectCompleteSeries(result, kSamples);
+  }
+  core::QueryResult idle_result;
+  ASSERT_TRUE(db->Query(ReadRequest::Range(
+                            {index::TagMatcher::Equal("s", "idle")}, 0,
+                            kSamples * kMin),
+                        &idle_result)
+                  .ok());
+  ASSERT_EQ(idle_result.size(), 1u);
+  EXPECT_EQ(idle_result[0].samples.size(), 2u);
+  db.reset();
+  RemoveDirRecursive(opts.workspace);
+}
+
 // Multi-writer with the WAL on: the serialized WAL append point must keep
 // per-series (id, seq) consistent so a reopen replays to the same state.
 TEST(ConcurrencyTest, MultiWriterWithWalSurvivesReopen) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/conc_wal";
+  opts.workspace = TestDir("conc_wal");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 32 << 10;
   opts.enable_wal = true;
@@ -425,7 +496,7 @@ TEST(ConcurrencyTest, MultiWriterWithWalSurvivesReopen) {
 // Parallel group fast-path ingest on disjoint groups.
 TEST(ConcurrencyTest, MultiWriterGroupFastPath) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/conc_group";
+  opts.workspace = TestDir("conc_group");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 32 << 10;
   std::unique_ptr<core::TimeUnionDB> db;
@@ -486,7 +557,7 @@ TEST(ConcurrencyTest, MultiWriterGroupFastPath) {
 // scripts/tsan.sh.
 TEST(ConcurrencyTest, FaultCountersConsistentUnderConcurrentWriters) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/conc_fault_counters";
+  opts.workspace = TestDir("conc_fault_counters");
   RemoveDirRecursive(opts.workspace);
   auto fi = std::make_shared<cloud::FaultInjector>(17);
   fi->AddRule(cloud::FaultRule::Transient(cloud::kAllFaultOps, 0.10));
@@ -584,7 +655,7 @@ TEST(ConcurrencyTest, FaultCountersConsistentUnderConcurrentWriters) {
 }
 
 TEST(FailureInjectionTest, CorruptedSlowTierObjectSurfacesError) {
-  const std::string ws = "/tmp/timeunion_test/conc_corrupt";
+  const std::string ws = TestDir("conc_corrupt");
   RemoveDirRecursive(ws);
   cloud::TieredEnv env(ws, cloud::TieredEnvOptions::Instant());
   lsm::BlockCache cache(8 << 20);

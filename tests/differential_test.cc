@@ -12,6 +12,7 @@
 #include "util/mmap_file.h"
 #include "util/random.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu::core {
 namespace {
@@ -37,7 +38,7 @@ struct Reference {
 class DifferentialTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
-    ws_ = "/tmp/timeunion_test/diff_" + std::to_string(GetParam());
+    ws_ = TestDir("diff_") + std::to_string(GetParam());
     RemoveDirRecursive(ws_);
   }
   void TearDown() override { RemoveDirRecursive(ws_); }

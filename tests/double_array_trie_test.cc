@@ -8,6 +8,7 @@
 
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace tu::index {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 class TrieTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/timeunion_test/trie_" +
+    dir_ = TestDir("trie_") +
            std::to_string(
                ::testing::UnitTest::GetInstance()->random_seed() ^
                reinterpret_cast<uintptr_t>(this));

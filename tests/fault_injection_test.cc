@@ -30,6 +30,7 @@
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -84,7 +85,7 @@ TEST(FaultInjectorTest, TornWriteReportsKeptPrefix) {
 }
 
 TEST(FaultInjectorTest, TornPutThroughObjectStorePersistsPrefix) {
-  const std::string ws = "/tmp/timeunion_test/fault_torn";
+  const std::string ws = TestDir("fault_torn");
   RemoveDirRecursive(ws);
   auto fi = std::make_shared<FaultInjector>();
   fi->AddRule(FaultRule::TornWrite(FaultOpMask(FaultOp::kPut), 1, 0.25));
@@ -256,7 +257,7 @@ TEST(CircuitBreakerTest, FailureRateTripsAndProbeFailureReopens) {
 // -- Acceptance workload: 10% transient slow-tier faults ---------------------
 
 TEST(FaultInjectionDbTest, TransientSlowTierFaultsAbsorbedByRetries) {
-  const std::string ws = "/tmp/timeunion_test/fault_db";
+  const std::string ws = TestDir("fault_db");
   RemoveDirRecursive(ws);
 
   core::DBOptions opts;
@@ -361,7 +362,7 @@ void TripBreakerHard(core::TimeUnionDB* db) {
 }
 
 TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
-  const std::string ws = "/tmp/timeunion_test/outage_lifecycle";
+  const std::string ws = TestDir("outage_lifecycle");
   const std::string control_ws = ws + "_control";
   RemoveDirRecursive(ws);
   RemoveDirRecursive(control_ws);
@@ -518,7 +519,7 @@ TEST(OutageLifecycleTest, IngestQueryDeferDrainAcrossSlowTierOutage) {
 // -- Degraded operation: teardown, sticky errors, admission ------------------
 
 TEST(FaultInjectionDbTest, TeardownDuringOutageDoesNotWaitOutBackoffs) {
-  const std::string ws = "/tmp/timeunion_test/fault_teardown";
+  const std::string ws = TestDir("fault_teardown");
   RemoveDirRecursive(ws);
 
   auto fi = std::make_shared<FaultInjector>(3);
@@ -578,7 +579,7 @@ TEST(FaultInjectionDbTest, TeardownDuringOutageDoesNotWaitOutBackoffs) {
 }
 
 TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
-  const std::string ws = "/tmp/timeunion_test/fault_bg_error";
+  const std::string ws = TestDir("fault_bg_error");
   RemoveDirRecursive(ws);
 
   // Permanent faults on fast-tier LSM file appends: every background
@@ -659,7 +660,7 @@ TEST(FaultInjectionDbTest, BackgroundFlushErrorIsStickyAndObservable) {
 }
 
 TEST(FaultInjectionDbTest, AdmissionControlDelaysThenRejectsWrites) {
-  const std::string ws = "/tmp/timeunion_test/fault_admission";
+  const std::string ws = TestDir("fault_admission");
 
   // Phase A: soft watermark only (hard unreachable) — writes are delayed
   // but all admitted.
@@ -798,7 +799,7 @@ class CrashRecoveryTest : public ::testing::TestWithParam<CrashCase> {};
 
 TEST_P(CrashRecoveryTest, AcknowledgedSamplesSurviveCrash) {
   const CrashCase c = GetParam();
-  std::string ws = "/tmp/timeunion_test/crash_";
+  std::string ws = TestDir("crash_");
   for (const char* p = c.site; *p != '\0'; ++p) {
     ws += (*p == '.') ? '_' : *p;
   }
@@ -860,6 +861,7 @@ TEST_P(CrashRecoveryTest, AcknowledgedSamplesSurviveCrash) {
 INSTANTIATE_TEST_SUITE_P(
     CrashMatrix, CrashRecoveryTest,
     ::testing::Values(CrashCase{"wal.append", 25},
+                      CrashCase{"wal.segment.seal", 3},
                       CrashCase{"l0.flush.pre_manifest", 0},
                       CrashCase{"l2.upload.pre_commit", 0},
                       CrashCase{"l2.upload.post_commit", 1}),

@@ -7,6 +7,7 @@
 #include "mem/chunk_array.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace tu::mem {
 namespace {
@@ -14,7 +15,7 @@ namespace {
 class HeadTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ws_ = "/tmp/timeunion_test/head";
+    ws_ = TestDir("head");
     RemoveDirRecursive(ws_);
     series_chunks_ = std::make_unique<ChunkArray>(ws_, "series", 256, 64);
     ts_chunks_ = std::make_unique<ChunkArray>(ws_, "gts", 192, 64);
@@ -257,7 +258,7 @@ TEST_F(HeadTest, GroupOutOfOrderRowMerge) {
 }
 
 TEST(ChunkArrayTest, AllocateFreeReuse) {
-  const std::string ws = "/tmp/timeunion_test/chunk_array";
+  const std::string ws = TestDir("chunk_array");
   RemoveDirRecursive(ws);
   {
     ChunkArray arr(ws, "c", 128, 8);

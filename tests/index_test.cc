@@ -5,6 +5,7 @@
 #include "index/postings.h"
 #include "index/tag_store.h"
 #include "util/mmap_file.h"
+#include "test_dir.h"
 
 namespace tu::index {
 namespace {
@@ -52,7 +53,7 @@ TEST(LabelsTest, KeyAndGroupExtraction) {
 class InvertedIndexTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ws_ = "/tmp/timeunion_test/invidx";
+    ws_ = TestDir("invidx");
     RemoveDirRecursive(ws_);
     TrieOptions opts;
     opts.slots_per_file = 1 << 14;
@@ -141,7 +142,7 @@ TEST_F(InvertedIndexTest, MemoryUsageTracked) {
 }
 
 TEST(TagStoreTest, AppendReadRoundTrip) {
-  const std::string ws = "/tmp/timeunion_test/tagstore";
+  const std::string ws = TestDir("tagstore");
   RemoveDirRecursive(ws);
   {
     TagStore store(ws, "tags", 1 << 12);  // small files force crossings

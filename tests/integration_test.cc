@@ -10,6 +10,7 @@
 #include "tsbs/devops.h"
 #include "util/mmap_file.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -53,18 +54,18 @@ TEST(TuLdbBackendTest, SameApiSameAnswers) {
     return samples;
   };
   const auto tp = run(DBOptions::Backend::kTimePartitioned,
-                      "/tmp/timeunion_test/int_tp");
+                      TestDir("int_tp"));
   const auto lv = run(DBOptions::Backend::kLeveled,
-                      "/tmp/timeunion_test/int_lv");
+                      TestDir("int_lv"));
   EXPECT_EQ(tp, lv);
   EXPECT_EQ(tp.size(), static_cast<size_t>(6 * 60 + 1));
-  RemoveDirRecursive("/tmp/timeunion_test/int_tp");
-  RemoveDirRecursive("/tmp/timeunion_test/int_lv");
+  RemoveDirRecursive(TestDir("int_tp"));
+  RemoveDirRecursive(TestDir("int_lv"));
 }
 
 TEST(TuLdbBackendTest, GroupsWorkOnLeveledBackend) {
   DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/int_lv_group";
+  opts.workspace = TestDir("int_lv_group");
   RemoveDirRecursive(opts.workspace);
   opts.backend = DBOptions::Backend::kLeveled;
   std::unique_ptr<TimeUnionDB> db;
@@ -88,7 +89,7 @@ TEST(TuLdbBackendTest, GroupsWorkOnLeveledBackend) {
 
 TEST(EndToEndTest, CortexSimInsertsAndQueries) {
   baseline::TsdbOptions opts;
-  opts.workspace = "/tmp/timeunion_test/int_cortex";
+  opts.workspace = TestDir("int_cortex");
   RemoveDirRecursive(opts.workspace);
   baseline::CortexSim cortex(opts, baseline::RpcCosts{});
   ASSERT_TRUE(cortex.Open().ok());
@@ -117,7 +118,7 @@ TEST(EndToEndTest, TimeUnionRemoteFastAndGroupModes) {
   // Fast mode.
   {
     DBOptions db_opts;
-    db_opts.workspace = "/tmp/timeunion_test/int_remote_fast";
+    db_opts.workspace = TestDir("int_remote_fast");
     RemoveDirRecursive(db_opts.workspace);
     baseline::TimeUnionRemote remote(
         db_opts, baseline::RpcCosts{},
@@ -140,7 +141,7 @@ TEST(EndToEndTest, TimeUnionRemoteFastAndGroupModes) {
   // Group mode: registration row then ID+slot rows.
   {
     DBOptions db_opts;
-    db_opts.workspace = "/tmp/timeunion_test/int_remote_group";
+    db_opts.workspace = TestDir("int_remote_group");
     RemoveDirRecursive(db_opts.workspace);
     baseline::TimeUnionRemote remote(db_opts, baseline::RpcCosts{},
                                      baseline::TimeUnionRemote::Mode::kGroup);
@@ -181,7 +182,7 @@ TEST(EndToEndTest, TimeUnionRemoteGroupRegistersMidRequest) {
   // replay the grown slot list: each row must see what the rows before it
   // registered.
   DBOptions db_opts;
-  db_opts.workspace = "/tmp/timeunion_test/int_remote_group_mid";
+  db_opts.workspace = TestDir("int_remote_group_mid");
   RemoveDirRecursive(db_opts.workspace);
   baseline::TimeUnionRemote remote(db_opts, baseline::RpcCosts{},
                                    baseline::TimeUnionRemote::Mode::kGroup);
@@ -221,7 +222,7 @@ TEST(EndToEndTest, TimeUnionRemoteGroupRegistersMidRequest) {
 }
 
 TEST(MmapFileTest, ArraysGrowAndPersist) {
-  const std::string ws = "/tmp/timeunion_test/int_mmap";
+  const std::string ws = TestDir("int_mmap");
   RemoveDirRecursive(ws);
   {
     MmapFileArray arr(ws, "data", 4096);
@@ -248,7 +249,7 @@ TEST(MmapFileTest, ArraysGrowAndPersist) {
 }
 
 TEST(MmapFileTest, SlotArrayIsolatesSlots) {
-  const std::string ws = "/tmp/timeunion_test/int_mmap2";
+  const std::string ws = TestDir("int_mmap2");
   RemoveDirRecursive(ws);
   MmapSlotArray arr(ws, "slots", 64, 16);
   ASSERT_TRUE(arr.ReserveSlots(40).ok());
@@ -264,7 +265,7 @@ TEST(DevOpsIntegration, FullPipelineSmall) {
   // End-to-end sanity over the actual workload generator: every generated
   // series must be queryable with exactly the inserted values.
   DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/int_devops";
+  opts.workspace = TestDir("int_devops");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 64 << 10;
   std::unique_ptr<TimeUnionDB> db;

@@ -31,6 +31,7 @@
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -144,7 +145,7 @@ void ExpectMatchesControlModuloMissing(const core::QueryResult& got,
 // -- Corruption matrix: every structural region, both tiers ------------------
 
 TEST(CorruptionMatrixTest, PlantedFlipsDetectedInEveryRegionOnBothTiers) {
-  const std::string ws = "/tmp/timeunion_test/integrity_matrix";
+  const std::string ws = TestDir("integrity_matrix");
   RemoveDirRecursive(ws);
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(IntegrityWorkloadOptions(ws), &db).ok());
@@ -211,7 +212,7 @@ TEST(CorruptionMatrixTest, PlantedFlipsDetectedInEveryRegionOnBothTiers) {
 }
 
 TEST(CorruptionMatrixTest, CorruptManifestBodyFailsReopenAsCorruption) {
-  const std::string ws = "/tmp/timeunion_test/integrity_manifest";
+  const std::string ws = TestDir("integrity_manifest");
   RemoveDirRecursive(ws);
   {
     std::unique_ptr<core::TimeUnionDB> db;
@@ -234,7 +235,7 @@ TEST(CorruptionMatrixTest, CorruptManifestBodyFailsReopenAsCorruption) {
 }
 
 TEST(CorruptionMatrixTest, CorruptWalRecordDetectedAndPrefixSalvaged) {
-  const std::string ws = "/tmp/timeunion_test/integrity_wal";
+  const std::string ws = TestDir("integrity_wal");
   RemoveDirRecursive(ws);
   core::DBOptions opts = IntegrityWorkloadOptions(ws);
   opts.enable_wal = true;
@@ -250,9 +251,14 @@ TEST(CorruptionMatrixTest, CorruptWalRecordDetectedAndPrefixSalvaged) {
     // No Flush: every sample lives only in the WAL.
   }
   cloud::TieredEnv env(ws, cloud::TieredEnvOptions::Instant());
+  // The samples live in the one (active) segment; flip a bit mid-way.
+  std::vector<uint64_t> segments;
+  ASSERT_TRUE(core::ListWalSegments(&env.fast(), "WAL", &segments).ok());
+  ASSERT_EQ(segments.size(), 1u);
+  const std::string segment = core::WalSegmentName("WAL", segments[0]);
   uint64_t wal_size = 0;
-  ASSERT_TRUE(env.fast().GetFileSize("WAL", &wal_size).ok());
-  ASSERT_TRUE(env.fast().CorruptFileAtRest("WAL", wal_size / 2).ok());
+  ASSERT_TRUE(env.fast().GetFileSize(segment, &wal_size).ok());
+  ASSERT_TRUE(env.fast().CorruptFileAtRest(segment, wal_size / 2).ok());
 
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(opts, &db).ok());
@@ -278,7 +284,7 @@ TEST(CorruptionMatrixTest, CorruptWalRecordDetectedAndPrefixSalvaged) {
 // -- Self-healing reads ------------------------------------------------------
 
 TEST(SelfHealingReadTest, TransientOnReadFlipHealedByCacheBypassingReread) {
-  const std::string ws = "/tmp/timeunion_test/integrity_selfheal";
+  const std::string ws = TestDir("integrity_selfheal");
   RemoveDirRecursive(ws);
   core::DBOptions opts = IntegrityWorkloadOptions(ws);
   opts.block_cache_bytes = 0;  // every query re-reads blocks from the tier
@@ -318,7 +324,7 @@ TEST(SelfHealingReadTest, TransientOnReadFlipHealedByCacheBypassingReread) {
 }
 
 TEST(SelfHealingReadTest, OnePercentOnReadFlipDrillMatchesControl) {
-  const std::string ws = "/tmp/timeunion_test/integrity_drill";
+  const std::string ws = TestDir("integrity_drill");
   const std::string control_ws = ws + "_control";
   RemoveDirRecursive(ws);
   RemoveDirRecursive(control_ws);
@@ -363,7 +369,7 @@ TEST(SelfHealingReadTest, OnePercentOnReadFlipDrillMatchesControl) {
 // -- Background scrub --------------------------------------------------------
 
 TEST(ScrubTest, AtRestCorruptionDetectedRepairedOrQuarantined) {
-  const std::string ws = "/tmp/timeunion_test/integrity_scrub";
+  const std::string ws = TestDir("integrity_scrub");
   RemoveDirRecursive(ws);
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(IntegrityWorkloadOptions(ws), &db).ok());
@@ -435,7 +441,7 @@ TEST(ScrubTest, AtRestCorruptionDetectedRepairedOrQuarantined) {
 }
 
 TEST(ScrubTest, BudgetedTicksResumeFromPersistedCursor) {
-  const std::string ws = "/tmp/timeunion_test/integrity_cursor";
+  const std::string ws = TestDir("integrity_cursor");
   RemoveDirRecursive(ws);
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(IntegrityWorkloadOptions(ws), &db).ok());
@@ -478,7 +484,7 @@ TEST(ScrubTest, BudgetedTicksResumeFromPersistedCursor) {
 }
 
 TEST(ScrubTest, MaintenanceTickDrivesScrub) {
-  const std::string ws = "/tmp/timeunion_test/integrity_bg";
+  const std::string ws = TestDir("integrity_bg");
   RemoveDirRecursive(ws);
   core::DBOptions opts = IntegrityWorkloadOptions(ws);
   opts.scrub.enabled = true;
@@ -515,7 +521,7 @@ TEST(ScrubTest, MaintenanceTickDrivesScrub) {
 
 TEST(ScrubTest, LeveledBackendRejectsScrubConfig) {
   core::DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/integrity_leveled";
+  opts.workspace = TestDir("integrity_leveled");
   opts.backend = core::DBOptions::Backend::kLeveled;
   opts.scrub.enabled = true;
   std::unique_ptr<core::TimeUnionDB> db;
@@ -527,7 +533,7 @@ TEST(ScrubTest, LeveledBackendRejectsScrubConfig) {
 // -- Upload read-back verification -------------------------------------------
 
 TEST(UploadVerifyTest, WriteSideFlipCaughtByCrcAndHealedByRetry) {
-  const std::string ws = "/tmp/timeunion_test/integrity_upload";
+  const std::string ws = TestDir("integrity_upload");
   RemoveDirRecursive(ws);
   core::DBOptions opts = IntegrityWorkloadOptions(ws);
   opts.lsm.integrity.verify_upload = true;
@@ -558,7 +564,7 @@ TEST(UploadVerifyTest, WriteSideFlipCaughtByCrcAndHealedByRetry) {
 // -- Deterministic corruption-fuzz smoke -------------------------------------
 
 TEST(CorruptionFuzzTest, SeededSingleByteFlipsAlwaysDetected) {
-  const std::string ws = "/tmp/timeunion_test/integrity_fuzz";
+  const std::string ws = TestDir("integrity_fuzz");
   RemoveDirRecursive(ws);
   std::unique_ptr<core::TimeUnionDB> db;
   ASSERT_TRUE(core::TimeUnionDB::Open(IntegrityWorkloadOptions(ws), &db).ok());

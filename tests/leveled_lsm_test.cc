@@ -8,6 +8,7 @@
 #include "lsm/key_format.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace tu::lsm {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 class LeveledLsmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    workspace_ = "/tmp/timeunion_test/leveled_lsm";
+    workspace_ = TestDir("leveled_lsm");
     RemoveDirRecursive(workspace_);
     env_ = std::make_unique<cloud::TieredEnv>(workspace_,
                                               cloud::TieredEnvOptions::Instant());

@@ -7,6 +7,7 @@
 #include "core/timeunion_db.h"
 #include "util/mmap_file.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu::core {
 namespace {
@@ -76,7 +77,7 @@ TEST(MaintenanceWorkerTest, StopIdempotentAndRestartable) {
 
 TEST(DbMaintenanceTest, BackgroundRetentionPurgesOldData) {
   DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/maint_db";
+  opts.workspace = TestDir("maint_db");
   RemoveDirRecursive(opts.workspace);
   opts.lsm.memtable_bytes = 32 << 10;
   opts.background_maintenance = true;

@@ -27,6 +27,7 @@
 #include "server/server.h"
 #include "util/mmap_file.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -256,7 +257,7 @@ DBOptions SmallPartitionOptions(const std::string& ws) {
 }
 
 TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
-  const std::string ws = "/tmp/timeunion_test/obs_pipeline";
+  const std::string ws = TestDir("obs_pipeline");
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
@@ -264,8 +265,6 @@ TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
   constexpr int kTotal = 2000;
   uint64_t ref = 0;
   ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
-  // One row per Write: append latency is sampled once per same-series run,
-  // and this test wants one run per sample.
   core::WriteBatch batch;
   for (int i = 0; i < kTotal; ++i) {
     batch.Clear();
@@ -334,12 +333,48 @@ TEST(DbMetricsTest, SnapshotCoversWholePipeline) {
   RemoveDirRecursive(ws);
 }
 
+// ingest.append_us times the append the per-stripe 1-in-64 tick selects,
+// so one 2,000-row Write feeds it as many observations as 2,000 one-row
+// writes (it used to time a whole same-series run as one observation).
+// The WAL gauges track the live segments of the same run.
+TEST(DbMetricsTest, BatchedWriteTimesAppendsLikeOneRowWrites) {
+  constexpr int kTotal = 2000;
+  uint64_t observed[2] = {0, 0};
+  for (int batched = 0; batched < 2; ++batched) {
+    const std::string ws = TestDir("obs_append_timer");
+    RemoveDirRecursive(ws);
+    core::DBOptions opts = SmallPartitionOptions(ws);
+    opts.enable_wal = true;
+    std::unique_ptr<TimeUnionDB> db;
+    ASSERT_TRUE(TimeUnionDB::Open(opts, &db).ok());
+    uint64_t ref = 0;
+    ASSERT_TRUE(db->RegisterSeries({{"m", "cpu"}}, &ref).ok());
+    core::WriteBatch batch;
+    for (int i = 0; i < kTotal; ++i) {
+      if (batched == 0) batch.Clear();
+      batch.AddSample(ref, i * 250LL, 1.0 * i);
+      if (batched == 0) ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+    }
+    if (batched == 1) ASSERT_TRUE(WriteAll(db.get(), batch).ok());
+    const obs::MetricsSnapshot snap = db->Metrics();
+    const obs::HistogramSnapshot* h = snap.FindHistogram("ingest.append_us");
+    ASSERT_NE(h, nullptr);
+    observed[batched] = h->count;
+    EXPECT_GE(snap.GaugeOr0("wal.live_segments"), 1);
+    EXPECT_GT(snap.GaugeOr0("wal.live_bytes"), 0);
+    db.reset();
+    RemoveDirRecursive(ws);
+  }
+  EXPECT_EQ(observed[0], static_cast<uint64_t>(kTotal / 64));
+  EXPECT_EQ(observed[1], observed[0]);
+}
+
 // Metrics() is the one introspection surface: every name an operator
 // reads for breaker, backlog, fast-tier pressure, admission, cache, scrub,
 // read-integrity and background-error state is present on a quiet DB, and
 // the values agree with the components they come from.
 TEST(DbMetricsTest, SnapshotCarriesHealthAndTierNames) {
-  const std::string ws = "/tmp/timeunion_test/obs_health";
+  const std::string ws = TestDir("obs_health");
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
@@ -360,7 +395,8 @@ TEST(DbMetricsTest, SnapshotCarriesHealthAndTierNames) {
   for (const char* name :
        {"breaker.enabled", "breaker.state", "lsm.deferred_tables",
         "lsm.deferred_bytes", "lsm.fast_bytes", "lsm.fast_limit_bytes",
-        "cache.enabled", "cache.usage", "scrub.enabled", "db.health_state"}) {
+        "cache.enabled", "cache.usage", "scrub.enabled", "db.health_state",
+        "wal.live_segments", "wal.live_bytes"}) {
     EXPECT_NE(snap.FindGauge(name), nullptr) << name;
   }
   for (const char* name :
@@ -370,7 +406,8 @@ TEST(DbMetricsTest, SnapshotCarriesHealthAndTierNames) {
         "integrity.read_corruptions_healed", "error_handler.errors_total",
         "error_handler.errors_soft", "error_handler.errors_hard",
         "error_handler.resume_attempts", "error_handler.resumes_succeeded",
-        "error_handler.resume_failures", "query.runs"}) {
+        "error_handler.resume_failures", "query.runs",
+        "wal.segments_dropped"}) {
     EXPECT_NE(snap.FindCounter(name), nullptr) << name;
   }
   for (const char* tier : {"fast", "slow"}) {
@@ -407,7 +444,7 @@ TEST(DbMetricsTest, SnapshotCarriesHealthAndTierNames) {
 // Scrub counters are registered by the scrubber the DB owns; they are in
 // the snapshot before the first pass runs.
 TEST(DbMetricsTest, SnapshotCarriesScrubCountersBeforeFirstPass) {
-  const std::string ws = "/tmp/timeunion_test/obs_scrub_names";
+  const std::string ws = TestDir("obs_scrub_names");
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
@@ -424,7 +461,7 @@ TEST(DbMetricsTest, SnapshotCarriesScrubCountersBeforeFirstPass) {
 // With the network front door attached, the server.* instruments land in
 // the same registry: Metrics() picks them up without any schema change.
 TEST(DbMetricsTest, ServerInstrumentsSurfaceInMetrics) {
-  const std::string ws = "/tmp/timeunion_test/obs_server";
+  const std::string ws = TestDir("obs_server");
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(SmallPartitionOptions(ws), &db).ok());
@@ -480,7 +517,7 @@ TEST(DbMetricsTest, ServerInstrumentsSurfaceInMetrics) {
 // metrics.enabled = false: hot paths record nothing, but Metrics() still
 // reports the externally-derived counters.
 TEST(DbMetricsTest, DisabledMetricsStillReportExternalCounters) {
-  const std::string ws = "/tmp/timeunion_test/obs_disabled";
+  const std::string ws = TestDir("obs_disabled");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   opts.metrics.enabled = false;
@@ -506,7 +543,7 @@ TEST(DbMetricsTest, DisabledMetricsStillReportExternalCounters) {
 
 // emit_jsonl: the maintenance tick appends parseable JSON lines.
 TEST(DbMetricsTest, MaintenanceEmitsMetricsJsonl) {
-  const std::string ws = "/tmp/timeunion_test/obs_jsonl";
+  const std::string ws = TestDir("obs_jsonl");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   opts.background_maintenance = true;
@@ -538,7 +575,7 @@ TEST(DbMetricsTest, MaintenanceEmitsMetricsJsonl) {
 // -- DBOptions::Validate ------------------------------------------------------
 
 TEST(DBOptionsValidateTest, RejectsIncoherentConfigs) {
-  const std::string ws = "/tmp/timeunion_test/obs_validate";
+  const std::string ws = TestDir("obs_validate");
   RemoveDirRecursive(ws);
   auto expect_invalid = [&](DBOptions opts, const std::string& field) {
     opts.workspace = ws;

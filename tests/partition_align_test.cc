@@ -8,6 +8,7 @@
 #include "lsm/key_format.h"
 #include "lsm/time_lsm.h"
 #include "util/mmap_file.h"
+#include "test_dir.h"
 
 namespace tu::lsm {
 namespace {
@@ -28,7 +29,7 @@ class PartitionAlignTest : public ::testing::Test {
   void Recreate(bool persist_manifest, bool wipe = true) {
     lsm_.reset();
     env_.reset();
-    ws_ = "/tmp/timeunion_test/align";
+    ws_ = TestDir("align");
     if (wipe) RemoveDirRecursive(ws_);
     env_ = std::make_unique<cloud::TieredEnv>(ws_,
                                               cloud::TieredEnvOptions::Instant());

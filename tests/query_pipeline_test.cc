@@ -33,6 +33,7 @@
 #include "util/mmap_file.h"
 #include "util/random.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -121,7 +122,7 @@ void ExpectIdentical(const QueryResult& a, const QueryResult& b) {
 // -- Input validation --------------------------------------------------------
 
 TEST(QueryValidationTest, RejectsInvertedRangeAndEmptyMatchers) {
-  const std::string ws = "/tmp/timeunion_test/query_validation";
+  const std::string ws = TestDir("query_validation");
   RemoveDirRecursive(ws);
   DBOptions opts;
   opts.workspace = ws;
@@ -158,7 +159,7 @@ TEST(QueryValidationTest, RejectsInvertedRangeAndEmptyMatchers) {
 class QueryDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(QueryDifferentialTest, RandomWorkloadIdenticalAcrossEntryPoints) {
-  const std::string ws = "/tmp/timeunion_test/query_differential";
+  const std::string ws = TestDir("query_differential");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -238,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QueryDifferentialTest,
 // The two entry points must also agree while the slow tier is down and the
 // read is partial (breaker open, unreachable L2 tables skipped).
 TEST(QueryDifferentialTest, BreakerOpenPartialReadsIdentical) {
-  const std::string ws = "/tmp/timeunion_test/query_partial_diff";
+  const std::string ws = TestDir("query_partial_diff");
   RemoveDirRecursive(ws);
   auto fi = std::make_shared<FaultInjector>(13);
   DBOptions opts = SmallPartitionOptions(ws);
@@ -300,7 +301,7 @@ TEST(QueryDifferentialTest, BreakerOpenPartialReadsIdentical) {
 // -- Pruning: cold L2 data outside the window is never fetched ---------------
 
 TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
-  const std::string ws = "/tmp/timeunion_test/query_pruning";
+  const std::string ws = TestDir("query_pruning");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -361,7 +362,7 @@ TEST(QueryPruningTest, FastWindowQueryFetchesNothingFromSlowTier) {
 // -- Block cache surfacing ---------------------------------------------------
 
 TEST(BlockCacheSurfacingTest, HitsAndMissesReachMetrics) {
-  const std::string ws = "/tmp/timeunion_test/query_cache_hits";
+  const std::string ws = TestDir("query_cache_hits");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -406,7 +407,7 @@ TEST(BlockCacheSurfacingTest, HitsAndMissesReachMetrics) {
 }
 
 TEST(BlockCacheSurfacingTest, TinyCacheReportsEvictions) {
-  const std::string ws = "/tmp/timeunion_test/query_cache_evict";
+  const std::string ws = TestDir("query_cache_evict");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   opts.block_cache_bytes = 8 << 10;  // 512 B per shard: every block evicts
@@ -435,7 +436,7 @@ TEST(BlockCacheSurfacingTest, TinyCacheReportsEvictions) {
 }
 
 TEST(BlockCacheSurfacingTest, ZeroBytesDisablesCaching) {
-  const std::string ws = "/tmp/timeunion_test/query_cache_off";
+  const std::string ws = TestDir("query_cache_off");
   RemoveDirRecursive(ws);
   DBOptions opts = SmallPartitionOptions(ws);
   opts.block_cache_bytes = 0;
@@ -482,7 +483,7 @@ namespace lsm {
 namespace {
 
 TEST(TableReaderBoundTest, BlindDrainStopsAtUpperBound) {
-  const std::string ws = "/tmp/timeunion_test/query_table_bound";
+  const std::string ws = TestDir("query_table_bound");
   RemoveDirRecursive(ws);
   auto fast = std::make_unique<cloud::BlockStore>(
       ws + "/fast", cloud::TierSimOptions::Instant());

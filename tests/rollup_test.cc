@@ -35,6 +35,7 @@
 #include "util/mmap_file.h"
 #include "util/random.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -276,7 +277,7 @@ TEST(AggregateKernelTest, FoldBucketsPerFunction) {
 
 TEST(RollupValidationTest, OptionRules) {
   DBOptions opts;
-  opts.workspace = "/tmp/timeunion_test/rollup_validate";
+  opts.workspace = TestDir("rollup_validate");
 
   opts.lsm.rollup_granularities_ms = {1000, 2000, 60'000};
   EXPECT_TRUE(opts.Validate().ok());
@@ -305,7 +306,7 @@ TEST(RollupValidationTest, OptionRules) {
 }
 
 TEST(RollupValidationTest, AggregateQueryRejectsBadArgs) {
-  const std::string ws = "/tmp/timeunion_test/rollup_query_args";
+  const std::string ws = TestDir("rollup_query_args");
   RemoveDirRecursive(ws);
   std::unique_ptr<TimeUnionDB> db;
   ASSERT_TRUE(TimeUnionDB::Open(RollupOptions(ws), &db).ok());
@@ -337,7 +338,7 @@ TEST(RollupValidationTest, AggregateQueryRejectsBadArgs) {
 class RollupDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RollupDifferentialTest, RandomWorkloadMatchesRawDrain) {
-  const std::string ws = "/tmp/timeunion_test/rollup_differential";
+  const std::string ws = TestDir("rollup_differential");
   RemoveDirRecursive(ws);
   const DBOptions opts = RollupOptions(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -443,7 +444,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RollupDifferentialTest,
 // -- Planner: interiors served from rollups, edges raw -----------------------
 
 TEST(RollupPlannerTest, InteriorFromRollupsEdgesRawFewerSlowGets) {
-  const std::string ws = "/tmp/timeunion_test/rollup_planner";
+  const std::string ws = TestDir("rollup_planner");
   RemoveDirRecursive(ws);
   DBOptions opts = RollupOptions(ws);
   // The get_ops win is structural: a raw table drains every data block
@@ -518,7 +519,7 @@ TEST(RollupPlannerTest, InteriorFromRollupsEdgesRawFewerSlowGets) {
 // -- Invalidation + maintenance re-derivation --------------------------------
 
 TEST(RollupDirtyTest, OooRewriteInvalidatesThenMaintenanceRederives) {
-  const std::string ws = "/tmp/timeunion_test/rollup_dirty";
+  const std::string ws = TestDir("rollup_dirty");
   RemoveDirRecursive(ws);
   const DBOptions opts = RollupOptions(ws);
   std::unique_ptr<TimeUnionDB> db;
@@ -589,7 +590,7 @@ TEST(RollupDirtyTest, OooRewriteInvalidatesThenMaintenanceRederives) {
 // -- Degraded reads: completeness composes with rollup gaps ------------------
 
 TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
-  const std::string ws = "/tmp/timeunion_test/rollup_partial";
+  const std::string ws = TestDir("rollup_partial");
   RemoveDirRecursive(ws);
   auto fi = std::make_shared<FaultInjector>(13);
   DBOptions opts = RollupOptions(ws);
@@ -663,7 +664,7 @@ TEST(RollupPartialReadTest, BreakerOpenMissingRangesMatchRawQuery) {
 // -- Persistence: rollups and dirty spans survive reopen ---------------------
 
 TEST(RollupPersistenceTest, ReopenPreservesRollupsAndDirtySpans) {
-  const std::string ws = "/tmp/timeunion_test/rollup_reopen";
+  const std::string ws = TestDir("rollup_reopen");
   RemoveDirRecursive(ws);
   const DBOptions opts = RollupOptions(ws);
   std::unique_ptr<TimeUnionDB> db;

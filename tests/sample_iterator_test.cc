@@ -6,6 +6,7 @@
 #include "util/mmap_file.h"
 #include "util/random.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu::core {
 namespace {
@@ -20,14 +21,14 @@ class SampleIteratorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     DBOptions opts;
-    opts.workspace = "/tmp/timeunion_test/sample_iter";
+    opts.workspace = TestDir("sample_iter");
     RemoveDirRecursive(opts.workspace);
     opts.lsm.memtable_bytes = 32 << 10;
     ASSERT_TRUE(TimeUnionDB::Open(opts, &db_).ok());
   }
   void TearDown() override {
     db_.reset();
-    RemoveDirRecursive("/tmp/timeunion_test/sample_iter");
+    RemoveDirRecursive(TestDir("sample_iter"));
   }
 
   /// Drains an iterator into a map, checking ordering.

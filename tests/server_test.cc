@@ -47,6 +47,7 @@
 #include "util/interval_set.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace tu {
 namespace {
@@ -133,7 +134,7 @@ class RawConn {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ws_ = "/tmp/timeunion_test/server";
+    ws_ = TestDir("server");
     RemoveDirRecursive(ws_);
   }
   void TearDown() override {
@@ -814,7 +815,7 @@ TEST_F(ServerTest, InvalidQueryShapesAreStructuredRejects) {
 // with complete == false and missing_ranges that cover every absent row
 // with tight ends and hold no returned row.
 TEST(StrictReadTest, OutageFailsStrictReadsAndBoundsPartialOnes) {
-  const std::string ws = "/tmp/timeunion_test/strict_reads";
+  const std::string ws = TestDir("strict_reads");
   RemoveDirRecursive(ws);
   auto fi = std::make_shared<cloud::FaultInjector>(17);
   DBOptions opts = TestOptions(ws);

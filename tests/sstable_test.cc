@@ -12,6 +12,7 @@
 #include "lsm/table_reader.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace tu::lsm {
 namespace {
@@ -96,7 +97,7 @@ TEST(MemTableTest, OrderedWithDuplicateUserKeysNewestFirst) {
 class SSTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    workspace_ = "/tmp/timeunion_test/sstable";
+    workspace_ = TestDir("sstable");
     RemoveDirRecursive(workspace_);
     fast_ = std::make_unique<cloud::BlockStore>(
         workspace_ + "/fast", cloud::TierSimOptions::Instant());

@@ -9,6 +9,7 @@
 #include "lsm/key_format.h"
 #include "util/mmap_file.h"
 #include "util/random.h"
+#include "test_dir.h"
 
 namespace tu::lsm {
 namespace {
@@ -41,7 +42,7 @@ class TimeLsmTest : public ::testing::Test {
   void Recreate(const TimeLsmOptions& opts) {
     lsm_.reset();
     env_.reset();
-    workspace_ = "/tmp/timeunion_test/time_lsm";
+    workspace_ = TestDir("time_lsm");
     RemoveDirRecursive(workspace_);
     env_ = std::make_unique<cloud::TieredEnv>(workspace_,
                                               cloud::TieredEnvOptions::Instant());

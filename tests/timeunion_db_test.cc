@@ -7,6 +7,7 @@
 #include "util/mmap_file.h"
 #include "util/random.h"
 #include "write_all.h"
+#include "test_dir.h"
 
 namespace tu::core {
 namespace {
@@ -25,7 +26,7 @@ class TimeUnionDBTest : public ::testing::Test {
 
   DBOptions DefaultOptions() {
     DBOptions opts;
-    opts.workspace = "/tmp/timeunion_test/db";
+    opts.workspace = TestDir("db");
     opts.lsm.memtable_bytes = 64 << 10;
     return opts;
   }
@@ -38,7 +39,7 @@ class TimeUnionDBTest : public ::testing::Test {
 
   void TearDown() override {
     db_.reset();
-    RemoveDirRecursive("/tmp/timeunion_test/db");
+    RemoveDirRecursive(TestDir("db"));
   }
 
   static Labels SeriesLabels(int host, const std::string& metric) {

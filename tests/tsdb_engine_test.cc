@@ -4,6 +4,7 @@
 
 #include "util/memory_tracker.h"
 #include "util/mmap_file.h"
+#include "test_dir.h"
 
 namespace tu::baseline {
 namespace {
@@ -20,7 +21,7 @@ class TsdbEngineTest : public ::testing::Test {
 
   static TsdbOptions DefaultOptions() {
     TsdbOptions opts;
-    opts.workspace = "/tmp/timeunion_test/tsdb";
+    opts.workspace = TestDir("tsdb");
     opts.samples_per_chunk = 120;
     return opts;
   }
@@ -33,7 +34,7 @@ class TsdbEngineTest : public ::testing::Test {
 
   void TearDown() override {
     engine_.reset();
-    RemoveDirRecursive("/tmp/timeunion_test/tsdb");
+    RemoveDirRecursive(TestDir("tsdb"));
   }
 
   static Labels MakeLabels(int host, const std::string& metric) {
